@@ -12,6 +12,33 @@ degree-l aggregate by l; exact divisibility is asserted on every run.
 
 Coefficient l of P(z) is then the sum of w(c) over simple cycles c of
 length l, where w(c) multiplies edge signs (signed mode) or is 1 (unsigned).
+The subgraph sum follows Giscard, Kriege & Wilson, "A general purpose
+algorithm for counting simple cycles and simple paths of any length"
+(Algorithmica 2019).
+
+Exactness.  Subgraphs of one size h are processed in batches.  Let r be the
+largest row sum of |A_H| over a batch.  The row sums of |A_H|^k are at most
+r^k, so |(A_H^k)_ij| <= (|A_H|^k)_ij <= r^k and |Tr A_H^l| <= h r^l.  Every
+partial sum formed while multiplying A_H^(k-1) by A_H, or while summing a
+trace, adds a subset of the terms of the matching entry or trace of |A_H|,
+so its magnitude is bounded by the unsigned value, whatever the order of
+summation.  All values are integers, so float64 arithmetic is exact while
+the bound is below 2^53, int64 arithmetic while it is below 2^62, and
+object (Python int) arithmetic always.  Each array is computed in the
+cheapest of these that its bound allows.  A float64 array is widened to
+int64 before object, so an object array never holds floats.
+
+Half powers.  With m = ceil(hi/2) for the largest degree hi a batch needs,
+only A_H^1..A_H^m are formed by matrix products.  For l > m the identity
+Tr A^l = Tr(A^m A^(l-m)) = sum_ij (A^m)_ij (A^(l-m))_ji gives the trace by
+an O(h^2) elementwise product instead of an O(h^3) matrix product; its
+terms are bounded as above by Tr |A_H|^l <= h r^l.
+
+Acyclicity filter.  An induced subgraph without a directed cycle has a
+nilpotent adjacency matrix, so all its traces vanish and it is skipped.
+A graph built from an undirected network holds the reverse of every edge,
+so every connected subgraph with h >= 2 contains a 2-cycle: the filter
+could never skip one there, and it runs on directed graphs only.
 """
 
 from __future__ import annotations
@@ -37,9 +64,11 @@ __all__ = [
     "exact_low_order_ratios",
 ]
 
-# entries of A_H^k are bounded by |H|^(k-1); beyond this the int64 fast path
-# is unsafe and exact object arithmetic takes over
-_INT64_SAFE = 2**62
+# integers and partial sums below these magnitudes are exact in the dtype
+_FLOAT64_EXACT = 2**53
+_INT64_EXACT = 2**62
+# bytes of the stored powers of one batch of same-size subgraphs
+_CHUNK_BYTES = 1 << 21
 
 
 class CycleEngineError(RuntimeError):
@@ -71,15 +100,6 @@ class CycleCensus:
 
     def grand_total(self) -> int:
         return sum(self.positive) + sum(self.negative)
-
-    def merged(self, other: "CycleCensus") -> "CycleCensus":
-        if other.max_length != self.max_length:
-            raise ValueError("length mismatch")
-        return CycleCensus(
-            self.max_length,
-            tuple(a + b for a, b in zip(self.positive, other.positive)),
-            tuple(a + b for a, b in zip(self.negative, other.negative)),
-        )
 
 
 @dataclass(frozen=True)
@@ -138,43 +158,25 @@ def _hosts_no_cycle(g: SignedDigraph, vertices: tuple[int, ...],
     return seen == len(vertices)
 
 
-def _stacked_adjacency(g: SignedDigraph, vertices: tuple[int, ...], signed: bool,
-                       unsigned: bool, dtype) -> np.ndarray:
-    h = len(vertices)
-    k = int(signed) + int(unsigned)
-    mats = np.zeros((k, h, h), dtype=dtype)
-    edges = g.edges
-    for i, u in enumerate(vertices):
-        for j, v in enumerate(vertices):
-            s = edges.get((u, v))
-            if s is not None:
-                if signed:
-                    mats[0, i, j] = s
-                if unsigned:
-                    mats[k - 1, i, j] = abs(s)
-    return mats
+def _exact_dtype(bound: int) -> np.dtype:
+    """Cheapest dtype whose arithmetic is exact on integers whose magnitude,
+    and that of every partial sum, stays below ``bound``."""
+    if bound < _FLOAT64_EXACT:
+        return np.dtype(np.float64)
+    if bound < _INT64_EXACT:
+        return np.dtype(np.int64)
+    return np.dtype(object)
 
 
-def _accumulate(buckets_list, mats, h: int, nbr: int, max_degree: int):
-    """Add subgraph H's contribution to each pre-integration bucket list."""
-    hi = min(max_degree, h + nbr)
-    if hi < h:
-        return
-    # powers A^2..A^hi, traces read along the way; A^1 trace handles loops
-    power = mats
-    traces = [None, power.trace(axis1=1, axis2=2)]
-    for _ in range(2, hi + 1):
-        power = power @ mats
-        traces.append(power.trace(axis1=1, axis2=2))
-    for ell in range(h, hi + 1):
-        coeff = math.comb(nbr, ell - h)
-        if (ell - h) % 2:
-            coeff = -coeff
-        tr = traces[ell]
-        for b, t in zip(buckets_list, tr):
-            ti = int(t)
-            if ti:
-                b[ell] += coeff * ti
+def _widen(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Cast an integer-valued array to an exact dtype at least as wide.
+
+    float64 goes through int64: cast straight to object it would hold
+    floats, whose products round.
+    """
+    if a.dtype == np.float64 and dtype != np.float64:
+        a = a.astype(np.int64)
+    return a.astype(dtype, copy=False)
 
 
 def _finish(buckets, max_length: int) -> list[TruncatedSeries]:
@@ -193,135 +195,90 @@ def _finish(buckets, max_length: int) -> list[TruncatedSeries]:
     return out
 
 
+def _add_batch(buckets, sub: np.ndarray, nb: np.ndarray, max_length: int,
+               signed: bool, unsigned: bool) -> None:
+    """Add the contributions of a batch of same-size subgraphs.
+
+    ``sub`` stacks their signed adjacency matrices (k, h, h); ``nb`` holds
+    their neighbour counts in ascending order.
+    """
+    h = sub.shape[1]
+    uns = np.abs(sub)
+    mats = np.stack([sub] * signed + [uns] * unsigned, axis=1)
+    r = int(uns.sum(axis=2).max())
+    hi = min(max_length, h + int(nb[-1]))
+    half = (hi + 1) // 2
+    a = _widen(mats, _exact_dtype(h * r**half))
+    powers = [None, a]
+    for _ in range(2, half + 1):
+        powers.append(powers[-1] @ a)
+    # runs of equal neighbour count share one binomial coefficient per degree
+    starts = np.flatnonzero(np.diff(nb, prepend=-1))
+    for ell in range(h, hi + 1):
+        bound = h * r**ell
+        if ell <= half:
+            tr = np.trace(powers[ell], axis1=2, axis2=3)
+        else:
+            dtype = _exact_dtype(bound)
+            tr = np.einsum("kwij,kwji->kw", _widen(powers[half], dtype),
+                           _widen(powers[ell - half], dtype))
+        sums = np.add.reduceat(_widen(tr, _exact_dtype(len(nb) * bound)),
+                               starts, axis=0)
+        for n, row in zip(nb[starts].tolist(), sums):
+            # C(n, ell - h) vanishes for degrees beyond h + n
+            coeff = (-1) ** (ell - h) * math.comb(n, ell - h)
+            if coeff:
+                for w, t in enumerate(row):
+                    buckets[w][ell] += coeff * int(t)
+
+
 def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
                  unsigned: bool = True) -> list[TruncatedSeries]:
     """Evaluate the generating function; returns the requested weightings.
 
     One enumeration pass accumulates the signed and unsigned variants
-    together (they share subgraphs and neighbour counts).  When every
-    intermediate fits in int64 (bounded via the graph's maximum row sum),
-    same-size subgraphs are batched into stacked matrix products; otherwise
-    each subgraph is handled individually with exact object arithmetic.
+    together (they share subgraphs and neighbour counts).  Subgraphs are
+    grouped by size, sorted by neighbour count and batched into stacked
+    matrix products, each batch in the dtypes its bound keeps exact.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     n_out = int(signed) + int(unsigned)
     if n_out == 0:
         raise ValueError("request at least one weighting")
-    row_max = max((len(g.out_neighbours(v)) for v in range(g.vertex_count)),
-                  default=0)
-    h_cap = min(max_length, g.vertex_count)
-    # traces sum h entries, each bounded by row_max^l
-    batched = h_cap * max(row_max, 1) ** h_cap < _INT64_SAFE
-    if batched:
-        return _series_pair_batched(g, max_length, signed, unsigned, n_out)
-    buckets = [[0] * (max_length + 1) for _ in range(n_out)]
+    classes: dict[int, tuple[list, list]] = {}
     for visit in connected_induced_subgraphs(g, max_length):
         vs = visit.vertices
-        h = len(vs)
-        hi = min(max_length, h + visit.neighbour_count)
-        if hi < h:
-            continue
-        if h == 1:
+        if len(vs) == 1:
             # singleton: only a self-loop contributes
-            s = g.sign(vs[0], vs[0])
-            if s == 0:
+            if g.sign(vs[0], vs[0]) == 0:
                 continue
-            mats = np.empty((n_out, 1, 1), dtype=np.int64)
-            if signed:
-                mats[0, 0, 0] = s
-            if unsigned:
-                mats[n_out - 1, 0, 0] = abs(s)
-        else:
-            mats = _stacked_adjacency(g, vs, signed, unsigned, np.int64)
-            rows = np.abs(mats[0]).sum(axis=1)
-            edge_total = int(rows.sum())
-            # sparse subgraphs are usually acyclic and contribute nothing
-            if edge_total < 2 * h and _hosts_no_cycle(g, vs):
-                continue
-            # entries of A^k are bounded by the k-th power of the max row
-            # sum; the trace adds h of them
-            if h * int(rows.max()) ** hi >= _INT64_SAFE:
-                mats = _stacked_adjacency(g, vs, signed, unsigned, object)
-        _accumulate(buckets, mats, h, visit.neighbour_count, max_length)
-    return _finish(buckets, max_length)
+        elif not g.from_undirected and _hosts_no_cycle(g, vs):
+            continue
+        members, nbs = classes.setdefault(len(vs), ([], []))
+        members.append(vs)
+        nbs.append(visit.neighbour_count)
 
-
-def _series_pair_batched(g: SignedDigraph, max_length: int, signed: bool,
-                         unsigned: bool, n_out: int) -> list[TruncatedSeries]:
-    """Group subgraphs by size and take batched matrix powers.
-
-    Exactness is preserved: every trace is converted to a Python int before
-    the cross-subgraph sums, and the int64 range was checked by the caller.
-    """
     buckets = [[0] * (max_length + 1) for _ in range(n_out)]
-    classes: dict[int, list] = {}
-    nbrs: dict[int, list[int]] = {}
-    edges = g.edges
-    for visit in connected_induced_subgraphs(g, max_length):
-        vs = visit.vertices
-        h = len(vs)
-        nb = visit.neighbour_count
-        hi = min(max_length, h + nb)
-        if hi < h:
-            continue
-        if h == 1:
-            s = g.sign(vs[0], vs[0])
-            if s == 0:
-                continue
-        elif _hosts_no_cycle(g, vs):
-            continue
-        classes.setdefault(h, []).append(vs)
-        nbrs.setdefault(h, []).append(nb)
-
-    full = (g.adjacency(signed=True, dtype=np.int64)
-            if g.vertex_count <= 2048 else None)
-    chunk = 40_000
-    for h, members in classes.items():
-        nb_all = nbrs[h]
-        for start in range(0, len(members), chunk):
-            part = members[start:start + chunk]
-            nb_arr = nb_all[start:start + chunk]
-            k = len(part)
-            mats = np.zeros((k, n_out, h, h), dtype=np.int64)
-            if full is not None:
-                vidx = np.asarray(part, dtype=np.intp)
-                sub = full[vidx[:, :, None], vidx[:, None, :]]
-                if signed:
-                    mats[:, 0] = sub
-                if unsigned:
-                    mats[:, n_out - 1] = np.abs(sub)
-            else:
-                for m, vs in enumerate(part):
-                    for i, u in enumerate(vs):
-                        for j, v in enumerate(vs):
-                            s = edges.get((u, v))
-                            if s is not None:
-                                if signed:
-                                    mats[m, 0, i, j] = s
-                                if unsigned:
-                                    mats[m, n_out - 1, i, j] = abs(s)
-            hi_max = min(max_length, h + max(nb_arr))
-            by_nb: dict[int, list[int]] = {}
-            for m, nb in enumerate(nb_arr):
-                by_nb.setdefault(nb, []).append(m)
-            power = mats
-            traces = {1: power.trace(axis1=2, axis2=3)}
-            for ell in range(2, hi_max + 1):
-                power = power @ mats
-                traces[ell] = power.trace(axis1=2, axis2=3)
-            for nb, idx in by_nb.items():
-                hi = min(max_length, h + nb)
-                sel = np.array(idx)
-                for ell in range(h, hi + 1):
-                    coeff = math.comb(nb, ell - h)
-                    if (ell - h) % 2:
-                        coeff = -coeff
-                    tr = traces[ell][sel]
-                    for w in range(n_out):
-                        t = int(tr[:, w].sum(dtype=object))
-                        if t:
-                            buckets[w][ell] += coeff * t
+    n = g.vertex_count
+    arcs = sorted(g.edges.items())
+    keys = np.array([u * n + v for (u, v), _ in arcs], dtype=np.int64)
+    signs = np.array([s for _, s in arcs], dtype=np.int8)
+    for h, (members, nbs) in classes.items():
+        nb = np.array(nbs)
+        order = np.argsort(nb, kind="stable")
+        nb = nb[order]
+        vidx = np.array(members, dtype=np.int64)[order]
+        half = (min(max_length, h + int(nb[-1])) + 1) // 2
+        step = max(1, _CHUNK_BYTES // (8 * n_out * h * h * (half + 2)))
+        for start in range(0, len(nb), step):
+            part = vidx[start:start + step]
+            # look up every vertex pair of every subgraph among the arcs
+            pair = part[:, :, None] * n + part[:, None, :]
+            pos = np.minimum(np.searchsorted(keys, pair), len(keys) - 1)
+            sub = np.where(keys[pos] == pair, signs[pos], 0).astype(np.int8)
+            _add_batch(buckets, sub, nb[start:start + step], max_length,
+                       signed, unsigned)
     return _finish(buckets, max_length)
 
 

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebalance.engine import (CycleEngineError, balance_table, cycle_census,
-                                 cycle_polynomial, exact_low_order_ratios)
+from cyclebalance.engine import (CycleEngineError, _exact_dtype, balance_table,
+                                 cycle_census, cycle_polynomial,
+                                 exact_low_order_ratios)
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.oracle import brute_force_census, complete_graph_census
 from cyclebalance.series import TruncatedSeries
@@ -99,9 +101,10 @@ def test_engine_matches_polynomial_reference(rng):
 
 
 def test_engine_equals_oracle_on_random_graphs(rng):
-    for _ in range(60):
+    # undirected graphs skip the acyclicity filter
+    for undirected in [False] * 60 + [True] * 30:
         g = random_signed_digraph(rng, max_vertices=9, edge_prob=0.3,
-                                  loop_prob=0.1)
+                                  loop_prob=0.1, undirected=undirected)
         L = rng.randint(1, g.vertex_count + 2)
         assert cycle_census(g, L) == brute_force_census(g, L)
 
@@ -169,6 +172,23 @@ def test_complete_graph_population():
         cf = complete_graph_census(n)
         for ell in range(2, n + 1):
             assert c.total(ell) == cf[ell]
+
+
+def test_exact_dtype_tiers():
+    assert _exact_dtype(2**53 - 1) == np.float64
+    assert _exact_dtype(2**53) == np.int64
+    assert _exact_dtype(2**62 - 1) == np.int64
+    assert _exact_dtype(2**62) == object
+
+
+def test_negative_k16_reaches_object_traces():
+    # traces of the classes h >= 14 exceed 2^62 at L=16 and are summed in
+    # object dtype from float64 powers; every count is signed by parity
+    c = cycle_census(complete_graph(16, sign=-1), 16)
+    cf = complete_graph_census(16)
+    for ell in range(2, 17):
+        want = (0, cf[ell]) if ell % 2 else (cf[ell], 0)
+        assert (c.n_pos(ell), c.n_neg(ell)) == want
 
 
 def test_census_validation():
