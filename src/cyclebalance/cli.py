@@ -11,12 +11,12 @@ import argparse
 import math
 import sys
 import time
-from fractions import Fraction
+from dataclasses import replace
 from pathlib import Path
 
 from . import datasets
 from .engine import (BalanceTable, balance_table, cycle_census,
-                     exact_low_order_ratios)
+                     estimate_ratios, exact_low_order_ratios)
 from .graph import GraphError, SignedDigraph, load_edge_list
 from .montecarlo import MonteCarloConfig, convergence_loop, run_monte_carlo
 from .nullmodel import (fit_correlation_length, null_band, null_ratio,
@@ -118,17 +118,13 @@ def _load(args) -> SignedDigraph:
 
 
 def _f(x):
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return float(x)
-    return float(x)
+    return None if x is None else float(x)
 
 
 def _table_rows(table: BalanceTable) -> list[ReportRow]:
     return [
         ReportRow(r.length, r.n_pos, r.n_neg, _f(r.ratio_negative),
-                  _f(r.neg_to_pos), _f(r.clustering), _f(r.stderr_ratio))
+                  _f(r.neg_to_pos), _f(r.clustering))
         for r in table.rows
     ]
 
@@ -184,13 +180,8 @@ def _cmd_montecarlo(args) -> int:
     else:
         rep = run_monte_carlo(g, cfg, workers=args.workers)
     wall = time.perf_counter() - t0
-    rows = [ReportRow(r.length,
-                      ratio=_f(r.estimate),
-                      neg_to_pos=None if r.estimate in (None, 1.0)
-                      else r.estimate / (1 - r.estimate),
-                      clustering=None if r.estimate is None
-                      else 1 - 2 * r.estimate,
-                      stderr=_f(r.stderr))
+    rows = [ReportRow(r.length, None, None, r.estimate,
+                      *estimate_ratios(r.estimate), r.stderr)
             for r in rep.rows]
     # worker count is an execution detail: reports must be byte-identical
     # for a given (graph, config, seed) regardless of parallelism
@@ -215,17 +206,7 @@ def _cmd_montecarlo(args) -> int:
 def _cmd_orbits(args) -> int:
     g = _load(args)
     oc = primitive_orbit_counts(g, max(args.max_length, 3))
-    rows = []
-    for ell in range(3, oc.max_length + 1):
-        npos, nneg = oc.n_pos(ell), oc.n_neg(ell)
-        tot = npos + nneg
-        rows.append(ReportRow(
-            ell, npos, nneg,
-            ratio=None if tot == 0 else nneg / tot,
-            neg_to_pos=(None if tot == 0
-                        else (nneg / npos if npos else math.inf)),
-            clustering=None if tot == 0 else (npos - nneg) / tot,
-        ))
+    rows = _table_rows(balance_table(oc))[2:]
     _emit(args, _report(args, g, "orbits", rows,
                         config={"max_length": args.max_length}))
     return EXIT_OK
@@ -233,8 +214,9 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_walks(args) -> int:
     g = _load(args)
-    rows = [ReportRow(r.length, ratio=r.ratio_negative,
-                      neg_to_pos=r.neg_to_pos, clustering=r.clustering)
+    # the table reports closed-walk ratios only, not the walk counts
+    rows = [ReportRow(r.length, ratio=_f(r.ratio_negative),
+                      neg_to_pos=_f(r.neg_to_pos), clustering=_f(r.clustering))
             for r in walk_ratios(g, args.max_length)]
     _emit(args, _report(args, g, "walks", rows,
                         config={"max_length": args.max_length}))
@@ -252,17 +234,15 @@ def _cmd_lowexact(args) -> int:
 def _null_rows(g, table: BalanceTable, p_override):
     p = p_override if p_override is not None else g.negative_edge_fraction()
     rows = []
-    for r in table.rows:
+    for r in _table_rows(table):
         tot = r.n_pos + r.n_neg
-        rr = null_ratio(p, r.length)
         if tot >= 1:
             band = null_band(p, r.length, tot)
             lo, hi = band.lower, band.upper
         else:
             lo = hi = None
-        rows.append(ReportRow(r.length, r.n_pos, r.n_neg,
-                              _f(r.ratio_negative), _f(r.neg_to_pos),
-                              _f(r.clustering), None, rr, lo, hi))
+        rows.append(replace(r, null_ratio=null_ratio(p, r.length),
+                            null_lo=lo, null_hi=hi))
     return rows, p
 
 
@@ -278,12 +258,8 @@ def _cmd_null(args) -> int:
 def _cmd_shufflenull(args) -> int:
     g = _load(args)
     res = shuffle_null(g, args.max_length, args.shuffles, seed=args.seed)
-    rows = [
-        ReportRow(r.length, r.n_pos, r.n_neg, _f(r.ratio_negative),
-                  _f(r.neg_to_pos), _f(r.clustering),
-                  _f(res.spread[r.length]))
-        for r in res.mean.rows
-    ]
+    rows = [replace(r, stderr=res.spread[r.length])
+            for r in _table_rows(res.mean)]
     _emit(args, _report(args, g, "null", rows,
                         config={"max_length": args.max_length,
                                 "shuffles": args.shuffles,

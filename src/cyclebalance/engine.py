@@ -61,6 +61,7 @@ __all__ = [
     "cycle_polynomial",
     "cycle_census",
     "balance_table",
+    "estimate_ratios",
     "exact_low_order_ratios",
 ]
 
@@ -77,7 +78,11 @@ class CycleEngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class CycleCensus:
-    """Exact counts of positive/negative simple cycles per length 1..max_length."""
+    """Exact counts of positive/negative cycles per length 1..max_length.
+
+    Simple cycles here; ``orbits`` fills the same type with primitive
+    orbits and with closed walks.
+    """
 
     max_length: int
     positive: tuple[int, ...]  # index l-1 -> N_l^+
@@ -88,6 +93,21 @@ class CycleCensus:
             raise ValueError("need one count per length 1..max_length")
         if any(c < 0 for c in self.positive + self.negative):
             raise ValueError("cycle counts must be nonnegative")
+
+    @classmethod
+    def from_weights(cls, signed, unsigned) -> "CycleCensus":
+        """Census from per-length sums of signs (N^+ - N^-) and of ones
+        (N^+ + N^-), lengths 1, 2, ...; checks parity and magnitude."""
+        for ell, (s, u) in enumerate(zip(signed, unsigned), start=1):
+            if (u + s) % 2 or u < abs(s):
+                raise CycleEngineError(
+                    f"length {ell}: signed coefficient {s} and unsigned {u} "
+                    f"are not a consistent census (parity or magnitude "
+                    f"violation)"
+                )
+        return cls(len(signed),
+                   tuple((u + s) // 2 for s, u in zip(signed, unsigned)),
+                   tuple((u - s) // 2 for s, u in zip(signed, unsigned)))
 
     def n_pos(self, length: int) -> int:
         return self.positive[length - 1]
@@ -115,7 +135,6 @@ class BalanceRow:
     ratio_negative: Fraction | float | None  # R = N^- / (N^- + N^+)
     neg_to_pos: Fraction | float | None      # U = N^- / N^+ (inf if N^+=0<N^-)
     clustering: Fraction | float | None      # K = (N^+ - N^-) / (N^+ + N^-)
-    stderr_ratio: float | None = None        # 2-sigma half width, sampling only
 
 
 @dataclass(frozen=True)
@@ -302,17 +321,7 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
     Combines the signed and unsigned runs: N^+/- = (unsigned +/- signed)/2.
     """
     sgn, uns = _series_pair(g, max_length, signed=True, unsigned=True)
-    pos, neg = [], []
-    for ell in range(1, max_length + 1):
-        s, u = sgn.coefficient(ell), uns.coefficient(ell)
-        if (u + s) % 2 or u < abs(s):
-            raise CycleEngineError(
-                f"length {ell}: signed coefficient {s} and unsigned {u} are "
-                f"not a consistent census (parity or magnitude violation)"
-            )
-        pos.append((u + s) // 2)
-        neg.append((u - s) // 2)
-    return CycleCensus(max_length, tuple(pos), tuple(neg))
+    return CycleCensus.from_weights(sgn.coefficients[1:], uns.coefficients[1:])
 
 
 def _ratios(n_pos: int, n_neg: int):
@@ -335,29 +344,11 @@ def balance_table(census: CycleCensus) -> BalanceTable:
     return BalanceTable(tuple(rows))
 
 
-def _trace_ratio_rows(g: SignedDigraph) -> list[BalanceRow]:
-    """Lengths 1..3 from closed-form traces of A and Atilde = A - Diag(A)."""
-    a = g.adjacency(signed=True, dtype=object)
-    at = g.adjacency(signed=True, strip_loops=True, dtype=object)
-    aa = np.abs(a)
-    aat = np.abs(at)
-
-    def counts(sig, uns):
-        # trace difference / sum -> negative and positive closed-walk weights
-        s, u = int(sig), int(uns)
-        return (u + s) // 2, (u - s) // 2
-
-    rows = []
-    # l=1: self-loops, directly from the diagonal
-    p1, n1 = counts(np.trace(a), np.trace(aa))
-    # l=2: each 2-cycle contributes twice to the trace
-    p2, n2 = counts(np.trace(at @ at) // 2, np.trace(aat @ aat) // 2)
-    # l=3: each directed triangle contributes three times
-    p3, n3 = counts(np.trace(at @ at @ at) // 3, np.trace(aat @ aat @ aat) // 3)
-    for ell, (np_, nn) in enumerate(((p1, n1), (p2, n2), (p3, n3)), start=1):
-        r, u, k = _ratios(np_, nn)
-        rows.append(BalanceRow(ell, np_, nn, r, u, k))
-    return rows
+def estimate_ratios(r: float | None) -> tuple[float | None, float | None]:
+    """(U, K) from an estimated R: U = R / (1 - R), inf at R = 1; K = 1 - 2R."""
+    if r is None:
+        return None, None
+    return (r / (1.0 - r) if r < 1.0 else math.inf), 1.0 - 2.0 * r
 
 
 def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
@@ -366,4 +357,14 @@ def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
     Agrees with cycle_census for l <= 3 on any graph; cheap enough for
     networks far beyond the reach of full enumeration.
     """
-    return BalanceTable(tuple(_trace_ratio_rows(g)))
+    def weights(full, stripped):
+        # l=1: self-loops, directly from the diagonal; each 2-cycle
+        # contributes twice to the trace and each directed triangle thrice
+        sq = stripped @ stripped
+        return [int(np.trace(full)), int(np.trace(sq)) // 2,
+                int(np.trace(sq @ stripped)) // 3]
+
+    a = g.adjacency(signed=True, dtype=object)
+    at = g.adjacency(signed=True, strip_loops=True, dtype=object)
+    return balance_table(CycleCensus.from_weights(
+        weights(a, at), weights(np.abs(a), np.abs(at))))

@@ -9,6 +9,7 @@ given configuration regardless of worker count or scheduling.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -26,6 +27,7 @@ __all__ = [
     "sample_connected_vertex_set",
     "run_monte_carlo",
     "convergence_loop",
+    "mean_and_2sigma",
 ]
 
 AGGREGATIONS = ("pooled", "mean-of-ratios")
@@ -139,6 +141,31 @@ def _one_sample(g, master_seed, round_index, batch, sample, size, max_length):
     return census.positive, census.negative, short
 
 
+def mean_and_2sigma(values: Sequence[float]
+                    ) -> tuple[float | None, float | None]:
+    """Mean of ``values`` and twice their sample standard deviation.
+
+    The mean is None without values, the deviation with fewer than two.
+    """
+    n = len(values)
+    if n == 0:
+        return None, None
+    mean = sum(values) / n
+    if n < 2:
+        return mean, None
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, 2.0 * math.sqrt(var)
+
+
+def _batch_stats(batch_means, k: int) -> tuple[float | None, float | None, int]:
+    """Estimate, 2-sigma standard error and number of defined batch means
+    at length index ``k``."""
+    means = [bm[k] for bm in batch_means if bm[k] is not None]
+    est, two_sigma = mean_and_2sigma(means)
+    stderr = None if two_sigma is None else two_sigma / math.sqrt(len(means))
+    return est, stderr, len(means)
+
+
 def _batch_ratio(agg: str, pos_sums, neg_sums, per_sample) -> list[float | None]:
     """Per-length batch means under the configured aggregation."""
     out: list[float | None] = []
@@ -199,18 +226,8 @@ def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
 
     rows = []
     for k in range(L):
-        means = [bm[k] for bm in batch_means if bm[k] is not None]
-        if not means:
-            rows.append(MonteCarloRow(k + 1, None, None, cycles_found[k], 0))
-            continue
-        est = sum(means) / len(means)
-        if len(means) >= 2:
-            var = sum((m - est) ** 2 for m in means) / (len(means) - 1)
-            stderr = 2.0 * (var ** 0.5) / (len(means) ** 0.5)
-        else:
-            stderr = None
-        rows.append(MonteCarloRow(k + 1, est, stderr, cycles_found[k],
-                                  len(means)))
+        est, stderr, used = _batch_stats(batch_means, k)
+        rows.append(MonteCarloRow(k + 1, est, stderr, cycles_found[k], used))
     return MonteCarloReport(
         config=cfg,
         rows=tuple(rows),
@@ -221,16 +238,7 @@ def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
 
 
 def _stderr_snapshot(batch_means, L) -> dict[int, float | None]:
-    snap = {}
-    for k in range(L):
-        means = [bm[k] for bm in batch_means if bm[k] is not None]
-        if len(means) >= 2:
-            est = sum(means) / len(means)
-            var = sum((m - est) ** 2 for m in means) / (len(means) - 1)
-            snap[k + 1] = 2.0 * (var ** 0.5) / (len(means) ** 0.5)
-        else:
-            snap[k + 1] = None
-    return snap
+    return {k + 1: _batch_stats(batch_means, k)[1] for k in range(L)}
 
 
 def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .engine import BalanceRow, BalanceTable, balance_table, cycle_census
+from .engine import (BalanceRow, BalanceTable, balance_table, cycle_census,
+                     estimate_ratios)
 from .graph import SignedDigraph
+from .montecarlo import mean_and_2sigma
 
 __all__ = [
     "NullBandRow",
@@ -106,30 +108,16 @@ def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
     for k in range(shuffles):
         rng = np.random.default_rng([seed, k])
         shuffled = _shuffled_graph(g, rng)
-        census = cycle_census(shuffled, max_length)
-        for l in range(1, max_length + 1):
-            tot = census.total(l)
-            if tot:
-                per_length[l].append(census.n_neg(l) / tot)
-            p0, n0 = counts[l]
-            counts[l] = (p0 + census.n_pos(l), n0 + census.n_neg(l))
+        for row in balance_table(cycle_census(shuffled, max_length)).rows:
+            if row.ratio_negative is not None:
+                per_length[row.length].append(float(row.ratio_negative))
+            p0, n0 = counts[row.length]
+            counts[row.length] = (p0 + row.n_pos, n0 + row.n_neg)
     rows = []
     spread: dict[int, float | None] = {}
     for l in range(1, max_length + 1):
-        vals = per_length[l]
-        p_sum, n_sum = counts[l]
-        if not vals:
-            rows.append(BalanceRow(l, p_sum, n_sum, None, None, None))
-            spread[l] = None
-            continue
-        mean = sum(vals) / len(vals)
-        u = mean / (1.0 - mean) if mean < 1.0 else math.inf
-        rows.append(BalanceRow(l, p_sum, n_sum, mean, u, 1.0 - 2.0 * mean))
-        if len(vals) >= 2:
-            var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-            spread[l] = 2.0 * math.sqrt(var)
-        else:
-            spread[l] = None
+        mean, spread[l] = mean_and_2sigma(per_length[l])
+        rows.append(BalanceRow(l, *counts[l], mean, *estimate_ratios(mean)))
     return ShuffleNullResult(BalanceTable(tuple(rows)), spread, shuffles)
 
 

@@ -21,18 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import BalanceRow, CycleCensus, balance_table
 from .graph import GraphError, SignedDigraph
 
 __all__ = [
     "HashimotoMatrix",
-    "OrbitCensus",
     "hashimoto_matrix",
     "mobius",
     "primitive_orbit_counts",
     "stark_terras_orbit_walks",
     "walk_ratios",
     "weighted_degree_of_balance",
-    "WalkRatioRow",
 ]
 
 # Above this dimension dense powers of T are declared unsupported; the
@@ -53,25 +52,6 @@ class HashimotoMatrix:
 
     def unsigned(self) -> np.ndarray:
         return np.abs(self.matrix)
-
-
-@dataclass(frozen=True)
-class OrbitCensus:
-    """Per-length primitive orbit counts (positive, negative), lengths 3..max."""
-
-    max_length: int
-    positive: tuple[int, ...]
-    negative: tuple[int, ...]
-
-    def n_pos(self, length: int) -> int:
-        return self.positive[length - 3]
-
-    def n_neg(self, length: int) -> int:
-        return self.negative[length - 3]
-
-    def ratio_negative(self, length: int) -> float | None:
-        tot = self.n_pos(length) + self.n_neg(length)
-        return None if tot == 0 else self.n_neg(length) / tot
 
 
 def hashimoto_matrix(g: SignedDigraph) -> HashimotoMatrix:
@@ -144,45 +124,44 @@ def _signed_unsigned_traces(t: np.ndarray, max_power: int,
 
 
 def primitive_orbit_counts(g: SignedDigraph, max_length: int,
-                           dense_cap: int = DEFAULT_DENSE_CAP) -> OrbitCensus:
-    """Counts of positive/negative primitive orbits for lengths 3..max_length.
+                           dense_cap: int = DEFAULT_DENSE_CAP) -> CycleCensus:
+    """Counts of positive/negative primitive orbits for lengths 1..max_length.
 
-    Totals N^+ + N^- come from the Mobius-inverted divisor sum of Tr |T|^d.
-    The signed difference needs care: a power orbit c^k carries sign(c)^k,
-    so negative orbits alternate and plain inversion over divisors is wrong
-    for even lengths.  Instead the differences are extracted recursively from
+    Lengths 1 and 2 are always 0: a loopless graph has no closed non-
+    backtracking walk shorter than 3.  Totals N^+ + N^- come from the
+    Mobius-inverted divisor sum of Tr |T|^d.  The signed difference needs
+    care: a power orbit c^k carries sign(c)^k, so negative orbits alternate
+    and plain inversion over divisors is wrong for even lengths.  Instead
+    the differences are extracted recursively from
 
         Tr T^l = sum_{j | l} j * (N^+_j + (-1)^(l/j) N^-_j),
 
-    peeling off the known shorter-orbit contributions.  All divisions must
-    be exact; a remainder signals a construction bug.
+    peeling off the known shorter-orbit contributions, which are totals
+    N^+_j + N^-_j for even l/j and differences N^+_j - N^-_j for odd l/j.
+    All divisions must be exact; a remainder signals a construction bug.
     """
     if max_length < 3:
         raise ValueError("primitive orbits start at length 3")
     h = hashimoto_matrix(g)
     tr_s, tr_u = _signed_unsigned_traces(h.matrix, max_length, dense_cap)
-    n_pos = {1: 0, 2: 0}
-    n_neg = {1: 0, 2: 0}
+    tot = {1: 0, 2: 0}
+    diff = {1: 0, 2: 0}
     for ell in range(3, max_length + 1):
-        tot = sum(mobius(ell // d) * tr_u[d - 1] for d in _divisors(ell))
-        if tot % ell:
+        t = sum(mobius(ell // d) * tr_u[d - 1] for d in _divisors(ell))
+        if t % ell:
             raise GraphError(
                 f"orbit divisor sum not divisible by {ell}: the Hashimoto "
                 f"construction is inconsistent"
             )
-        tot //= ell
-        shorter = sum(j * (n_pos[j] + (-1) ** (ell // j) * n_neg[j])
+        tot[ell] = t // ell
+        shorter = sum(j * (diff[j] if (ell // j) % 2 else tot[j])
                       for j in _divisors(ell) if j < ell)
-        diff, rem = divmod(tr_s[ell - 1] - shorter, ell)
+        diff[ell], rem = divmod(tr_s[ell - 1] - shorter, ell)
         if rem:
             raise GraphError(f"signed orbit extraction failed at length {ell}")
-        if (tot + diff) % 2 or tot < abs(diff):
-            raise GraphError(f"orbit parity violated at length {ell}")
-        n_pos[ell] = (tot + diff) // 2
-        n_neg[ell] = (tot - diff) // 2
-    return OrbitCensus(max_length,
-                       tuple(n_pos[ell] for ell in range(3, max_length + 1)),
-                       tuple(n_neg[ell] for ell in range(3, max_length + 1)))
+    lengths = range(1, max_length + 1)
+    return CycleCensus.from_weights([diff[ell] for ell in lengths],
+                                    [tot[ell] for ell in lengths])
 
 
 def stark_terras_orbit_walks(g: SignedDigraph, max_length: int
@@ -240,41 +219,29 @@ def _is_symmetric(g: SignedDigraph) -> bool:
     return all(g.edges.get((v, u)) == s for (u, v), s in g.edges.items())
 
 
-@dataclass(frozen=True)
-class WalkRatioRow:
-    length: int
-    ratio_negative: float | None   # R_walks
-    neg_to_pos: float | None       # U_walks (inf when K = -1)
-    clustering: float | None       # K_walks
-
-
-def walk_ratios(g: SignedDigraph, max_length: int) -> list[WalkRatioRow]:
+def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
     """Closed-walk balance ratios per length from traces of A^l and |A|^l.
 
-    Length 1 uses the raw adjacency (self-loops count); lengths >= 2 strip
-    the diagonal.  Lengths with no closed walks are undefined.
+    A closed walk is positive or negative by the product of its signs, so
+    Tr A^l and Tr |A|^l are the signed and unsigned sums of a census of
+    closed walks.  Length 1 uses the raw adjacency (self-loops count);
+    lengths >= 2 strip the diagonal.  Lengths with no closed walks are
+    undefined.
     """
-    a_full = g.adjacency(signed=True, dtype=object)
+    full = g.adjacency(signed=True, dtype=object)
     a = g.adjacency(signed=True, strip_loops=True, dtype=object)
-    b_full, b = np.abs(a_full), np.abs(a)
-    out = []
-    pw_a, pw_b = a.copy(), b.copy()
+    b = np.abs(a)
+    signed, unsigned = [], []
+    pw_a, pw_b = a, b
     for ell in range(1, max_length + 1):
         if ell == 1:
-            d_signed, d_plus = int(a_full.trace()), int(b_full.trace())
+            signed.append(int(full.trace()))
+            unsigned.append(int(np.abs(full).trace()))
         else:
-            d_signed, d_plus = int(pw_a.trace()), int(pw_b.trace())
-        if d_plus == 0:
-            out.append(WalkRatioRow(ell, None, None, None))
-        else:
-            r = (d_plus - d_signed) / (2 * d_plus)
-            k = d_signed / d_plus
-            u = (1 - k) / (1 + k) if k != -1 else math.inf
-            out.append(WalkRatioRow(ell, r, u, k))
-        if ell < max_length:
-            pw_a = pw_a @ a
-            pw_b = pw_b @ b
-    return out
+            pw_a, pw_b = pw_a @ a, pw_b @ b
+            signed.append(int(pw_a.trace()))
+            unsigned.append(int(pw_b.trace()))
+    return balance_table(CycleCensus.from_weights(signed, unsigned)).rows
 
 
 def weighted_degree_of_balance(g: SignedDigraph, size_cap: int = 2000

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -163,3 +164,71 @@ def test_fixture_gahuku_gama_loads():
     g = load_gahuku_gama()
     assert g.vertex_count == 16
     assert g.from_undirected
+
+
+def test_montecarlo_infinite_u_prints_inf(triad_file, capsys):
+    # every sampled triangle of the triad is negative: R = 1, U = inf
+    argv = ("montecarlo", "--input", str(triad_file), "--max-length", "3",
+            "--samples", "3", "--batches", "2", "--sample-size", "3")
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    row3 = out.splitlines()[3].split(",")
+    assert row3[3:6] == ["1", "inf", "-1"]
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    row3 = json.loads(out)["rows"][2]
+    assert (row3["R"], row3["U"], row3["K"]) == (1.0, "inf", -1.0)
+
+
+# sha256 of each subcommand's stdout on the sixteen-tribe fixture; any
+# change to a count, a ratio or the formatting changes a digest
+GOLDEN_CASES = {
+    "census": ("census", "--max-length", "8"),
+    "lowexact": ("lowexact",),
+    "orbits": ("orbits", "--max-length", "8"),
+    "orbits-short": ("orbits", "--max-length", "2"),
+    "walks": ("walks", "--max-length", "8"),
+    "null": ("null", "--max-length", "8"),
+    "report": ("report", "--max-length", "8"),
+    "fit": ("fit", "--max-length", "8"),
+    "shufflenull": ("shufflenull", "--max-length", "6", "--shuffles", "3",
+                    "--seed", "5"),
+    "montecarlo": ("montecarlo", "--max-length", "6", "--samples", "4",
+                   "--batches", "3", "--sample-size", "8", "--seed", "11"),
+    "montecarlo-mean": ("montecarlo", "--max-length", "5", "--samples", "3",
+                        "--batches", "4", "--sample-size", "6", "--seed", "2",
+                        "--aggregation", "mean"),
+}
+GOLDEN_SHA256 = {
+    ("census", "csv"): "924909fcc870c5c648f2d6da7aee64bcc89eb34c1b697cdd1692f7942eee61ca",
+    ("census", "json"): "1e185fe13dd7cddef70115a7e195d509a057a82a21760fc4d6bfd6ecb3c4b8b6",
+    ("lowexact", "csv"): "44d4b97635588eaf097deee61f22866100da0ca5ea3634ebccb604ca9b3be184",
+    ("lowexact", "json"): "08d4d3b257885d6cf91c4bb2e59c56dfec5138987f46fe4672565f06e878cfaf",
+    ("orbits", "csv"): "cd13c90aa8d3a336ab763ab128e18f1194a5c23303fa28eb6cea8e1120bed12d",
+    ("orbits", "json"): "76d7e3b62eafb375420e7568db37d3e7bd3fc034c5cbb13411f10471175d1db0",
+    ("orbits-short", "csv"): "b2b560eb4b47ef1b08c1af0dc9961af6419997868d84ceeefa09bc95cb33a0a9",
+    ("orbits-short", "json"): "075bd7209c252bd5d7509268465998ddef917a6be3baf2f1b08a71a426cb290d",
+    ("walks", "csv"): "0ac7b61f06568ec695be31cb1a8209e52b685a37e6211545df7bebbc17588e66",
+    ("walks", "json"): "e565449921cc0027c28d5b64ff80be2954fdb0f44474e1610dc8a4ea191e5ba2",
+    ("null", "csv"): "b36d29a33943b1662cf91f8923119cb329846081e909f95a0868063b6d3e1014",
+    ("null", "json"): "773a1c15350229946b4b67a0cf54d67485ec8a9206656a086d91862b51520bdd",
+    ("report", "csv"): "b36d29a33943b1662cf91f8923119cb329846081e909f95a0868063b6d3e1014",
+    ("report", "json"): "d09fdf3d4b0cc714cec8e216a17bcfac7aebbfa0b7745ce169d24b30e1787a35",
+    ("fit", "csv"): "924909fcc870c5c648f2d6da7aee64bcc89eb34c1b697cdd1692f7942eee61ca",
+    ("fit", "json"): "770c7c1148e77d1c12520bc8cc39e0023167a4803151816f844160bdc0356bfe",
+    ("shufflenull", "csv"): "7571739716b2e1fb71e82adb034e7794629ed488d1f056a9754e8af93dc9892e",
+    ("shufflenull", "json"): "a90a1bf9b24bdb07515db0d93f8b14d812518b920f0cec9823bf69acde7541b6",
+    ("montecarlo", "csv"): "ebea39908249939f003a7d98942f8a5a335ba59adbc1459a6fa2d007d952000c",
+    ("montecarlo", "json"): "66e9076ffb622e36e165706268561d2527bd9b1ac999e6bc4ba521c5ca80cdf7",
+    ("montecarlo-mean", "csv"): "1bbb7f18af3948e55e67bc241fa17218272d3c115f4f7d2961d1d144ffcf1fca",
+    ("montecarlo-mean", "json"): "4c501aa3b334e4b20d5d9c0754ec5d01cf97b11b96872b983742b6d69cdb371f",
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(GOLDEN_SHA256))
+def test_cli_golden_bytes(case, fmt, tmp_path, capsys):
+    p = tmp_path / "gahuku_gama.tsv"
+    p.write_text(fixture_text("gahuku_gama.tsv"))
+    code, out, _ = run(capsys, *GOLDEN_CASES[case], "--input", str(p),
+                       "--undirected", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_SHA256[case, fmt], out

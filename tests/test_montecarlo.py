@@ -131,8 +131,10 @@ def test_pooled_estimates_in_unit_interval(rng):
 def test_progress_hook_called():
     calls = []
     cfg = MonteCarloConfig(2, 3, 3, 3, master_seed=0)
-    run_monte_carlo(TRIAD, cfg, progress=lambda done, snap: calls.append(done))
-    assert calls == [2, 4, 6]
+    report = run_monte_carlo(
+        TRIAD, cfg, progress=lambda done, snap: calls.append((done, snap)))
+    assert [done for done, _ in calls] == [2, 4, 6]
+    assert calls[-1][1] == {r.length: r.stderr for r in report.rows}
 
 
 def test_convergence_loop_immediate():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclebalance.engine import cycle_census
+from cyclebalance.engine import balance_table, cycle_census
 from cyclebalance.graph import GraphError, SignedDigraph, parse_edge_list
 from cyclebalance.orbits import (hashimoto_matrix, mobius,
                                  primitive_orbit_counts,
@@ -69,7 +69,10 @@ def test_orbits_triangle_and_triad():
     assert (oc.n_pos(3), oc.n_neg(3)) == (2, 0)
     oc = primitive_orbit_counts(TRIAD, 3)
     assert (oc.n_pos(3), oc.n_neg(3)) == (0, 2)
-    assert oc.ratio_negative(3) == 1.0
+    # no closed non-backtracking walk is shorter than 3
+    for ell in (1, 2):
+        assert (oc.n_pos(ell), oc.n_neg(ell)) == (0, 0)
+    assert balance_table(oc).row(3).ratio_negative == 1
 
 
 def test_orbits_equal_cycles_up_to_five(rng):
