@@ -205,6 +205,9 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_orbits(args) -> int:
     g = _load(args)
+    if args.max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    # lengths 1 and 2 hold no orbit, so the census always runs to length 3
     oc = primitive_orbit_counts(g, max(args.max_length, 3))
     rows = _table_rows(balance_table(oc))[2:]
     _emit(args, _report(args, g, "orbits", rows,

@@ -36,6 +36,7 @@ terms are bounded as above by Tr |A_H|^l <= h r^l.
 
 Acyclicity filter.  An induced subgraph without a directed cycle has a
 nilpotent adjacency matrix, so all its traces vanish and it is skipped.
+It is found by stripping sinks over out-neighbour bitmasks.
 A graph built from an undirected network holds the reverse of every edge,
 so every connected subgraph with h >= 2 contains a 2-cycle: the filter
 could never skip one there, and it runs on directed graphs only.
@@ -51,7 +52,7 @@ import numpy as np
 
 from .graph import SignedDigraph
 from .series import TruncatedSeries
-from .subgraphs import connected_induced_subgraphs
+from .subgraphs import connected_vertex_sets
 
 __all__ = [
     "CycleEngineError",
@@ -151,30 +152,39 @@ class BalanceTable:
         return [r.length for r in self.rows if r.ratio_negative is not None]
 
 
-def _hosts_no_cycle(g: SignedDigraph, vertices: tuple[int, ...],
-                    inside: set[int] | None = None) -> bool:
-    """True if the induced directed subgraph is acyclic (nilpotent adjacency:
-    every trace power vanishes, so the subgraph cannot contribute)."""
-    if inside is None:
-        inside = set(vertices)
-    indeg = {v: 0 for v in vertices}
+def _successor_masks(g: SignedDigraph) -> list[int]:
+    """Bit w of entry v is set iff arc (v, w) exists; a self-loop sets v's
+    own bit."""
+    succ = [0] * g.vertex_count
+    for u, v in g.edges:
+        succ[u] |= 1 << v
+    return succ
+
+
+def _acyclic(vertices: tuple[int, ...], succ: list[int]) -> bool:
+    """True if the subgraph induced on ``vertices`` has no directed cycle
+    (nilpotent adjacency: every trace power vanishes, so it cannot
+    contribute).
+
+    ``succ[v]`` masks the out-neighbours of v; a self-loop is v's own bit,
+    so a looped vertex is never a sink.  Sinks are stripped until none
+    remains (acyclic) or every vertex left has an out-arc inside (cyclic).
+    """
+    inside = 0
     for v in vertices:
-        if g.sign(v, v) != 0:
+        inside |= 1 << v
+    left = vertices
+    while left:
+        kept = []
+        for v in left:
+            if succ[v] & inside:
+                kept.append(v)
+            else:
+                inside ^= 1 << v
+        if len(kept) == len(left):
             return False
-        for w in g.out_neighbours(v):
-            if w != v and w in inside:
-                indeg[w] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in g.out_neighbours(v):
-            if w != v and w in inside:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-    return seen == len(vertices)
+        left = kept
+    return True
 
 
 def _exact_dtype(bound: int) -> np.dtype:
@@ -265,29 +275,31 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
     n_out = int(signed) + int(unsigned)
     if n_out == 0:
         raise ValueError("request at least one weighting")
-    classes: dict[int, tuple[list, list]] = {}
-    for visit in connected_induced_subgraphs(g, max_length):
-        vs = visit.vertices
-        if len(vs) == 1:
-            # singleton: only a self-loop contributes
-            if g.sign(vs[0], vs[0]) == 0:
-                continue
-        elif not g.from_undirected and _hosts_no_cycle(g, vs):
+    succ = _successor_masks(g)
+    directed = not g.from_undirected
+    # index h: the size-h subgraphs that may host a cycle, and their |N(H)|
+    members = [[] for _ in range(max_length + 1)]
+    nbs = [[] for _ in range(max_length + 1)]
+    for vs, nc in connected_vertex_sets(g, max_length):
+        h = len(vs)
+        # a singleton hosts a cycle only through a self-loop
+        if (h == 1 or directed) and _acyclic(vs, succ):
             continue
-        members, nbs = classes.setdefault(len(vs), ([], []))
-        members.append(vs)
-        nbs.append(visit.neighbour_count)
+        members[h].append(vs)
+        nbs[h].append(nc)
 
     buckets = [[0] * (max_length + 1) for _ in range(n_out)]
     n = g.vertex_count
     arcs = sorted(g.edges.items())
     keys = np.array([u * n + v for (u, v), _ in arcs], dtype=np.int64)
     signs = np.array([s for _, s in arcs], dtype=np.int8)
-    for h, (members, nbs) in classes.items():
-        nb = np.array(nbs)
+    for h in range(1, max_length + 1):
+        if not members[h]:
+            continue
+        nb = np.array(nbs[h])
         order = np.argsort(nb, kind="stable")
         nb = nb[order]
-        vidx = np.array(members, dtype=np.int64)[order]
+        vidx = np.array(members[h], dtype=np.int64)[order]
         half = (min(max_length, h + int(nb[-1])) + 1) // 2
         step = max(1, _CHUNK_BYTES // (8 * n_out * h * h * (half + 2)))
         for start in range(0, len(nb), step):

@@ -228,6 +228,8 @@ def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
     lengths >= 2 strip the diagonal.  Lengths with no closed walks are
     undefined.
     """
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
     full = g.adjacency(signed=True, dtype=object)
     a = g.adjacency(signed=True, strip_loops=True, dtype=object)
     b = np.abs(a)

@@ -5,8 +5,10 @@ from cyclebalance.graph import SignedDigraph
 
 def random_signed_digraph(rng: random.Random, max_vertices: int = 9,
                           edge_prob: float = 0.3, loop_prob: float = 0.0,
-                          undirected: bool = False) -> SignedDigraph:
-    n = rng.randint(1, max_vertices)
+                          undirected: bool = False,
+                          vertices: int | None = None) -> SignedDigraph:
+    """Random signed graph on ``vertices`` vertices, or on 1..max_vertices."""
+    n = vertices if vertices is not None else rng.randint(1, max_vertices)
     edges = {}
     for u in range(n):
         for v in range(n):

@@ -71,6 +71,16 @@ def test_orbits_walks_lowexact(triad_file, capsys):
         assert payload["method"] in ("orbits", "walks", "exact")
 
 
+@pytest.mark.parametrize("cmd", ["census", "orbits", "walks"])
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_max_length_below_one_is_usage_error(cmd, length, triad_file, capsys):
+    code, out, err = run(capsys, cmd, "--input", str(triad_file),
+                         "--max-length", length)
+    assert code == 1
+    assert out == ""
+    assert "usage error: max_length must be >= 1" in err
+
+
 def test_null_and_shufflenull(triad_file, capsys):
     code, out, _ = run(capsys, "null", "--input", str(triad_file),
                        "--max-length", "3", "--format", "csv")

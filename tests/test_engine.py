@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebalance.engine import (CycleEngineError, _exact_dtype, balance_table,
+from cyclebalance.engine import (CycleEngineError, _acyclic, _exact_dtype,
+                                 _successor_masks, balance_table,
                                  cycle_census, cycle_polynomial,
                                  exact_low_order_ratios)
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
@@ -196,3 +197,33 @@ def test_census_validation():
         cycle_census(complete_graph(3), 0)
     with pytest.raises(ValueError):
         cycle_polynomial(complete_graph(3), 3, "weird")
+
+
+def _filter_matches_nilpotency(g, max_size):
+    """Check the acyclicity filter on every connected induced subgraph of g
+    against its definition, |A_H|^h = 0; return how often each verdict came."""
+    succ = _successor_masks(g)
+    full = g.adjacency(signed=False)
+    verdicts = {True: 0, False: 0}
+    for visit in connected_induced_subgraphs(g, max_size):
+        vs = list(visit.vertices)
+        nilpotent = not np.linalg.matrix_power(
+            full[np.ix_(vs, vs)], len(vs)).any()
+        assert _acyclic(visit.vertices, succ) == nilpotent, vs
+        verdicts[nilpotent] += 1
+    return verdicts
+
+
+def test_acyclic_filter_matches_nilpotency(rng):
+    totals = {True: 0, False: 0}
+    for _ in range(30):
+        g = random_signed_digraph(rng, max_vertices=10, edge_prob=0.3,
+                                  loop_prob=0.15)
+        for flag, count in _filter_matches_nilpotency(
+                g, g.vertex_count).items():
+            totals[flag] += count
+    g = random_signed_digraph(rng, edge_prob=0.025, loop_prob=0.05,
+                              vertices=100)
+    for flag, count in _filter_matches_nilpotency(g, 4).items():
+        totals[flag] += count
+    assert min(totals.values()) > 100

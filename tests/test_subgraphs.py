@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from cyclebalance.datasets import load_gahuku_gama
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.subgraphs import (connected_induced_subgraphs,
                                     enumerate_connected_induced_subgraphs)
@@ -95,3 +97,59 @@ def test_deterministic_order(rng):
     first = [v.vertices for v in connected_induced_subgraphs(g, 4)]
     second = [v.vertices for v in connected_induced_subgraphs(g, 4)]
     assert first == second
+
+
+def _seeded_digraph(n, edge_prob, seed, loop_prob):
+    return random_signed_digraph(random.Random(seed), edge_prob=edge_prob,
+                                 loop_prob=loop_prob, vertices=n)
+
+
+# case -> (graph factory, max_size, visits, sha256 of the visit sequence),
+# pinned from the earlier list-based recursive enumerator: the documented
+# visit order must not change
+_GOLDEN_ORDER = {
+    "tribe-L16": (load_gahuku_gama, 16, 58501,
+                  "f68fdf200e0f45aa5c3e41787e12b427"
+                  "2c050982c4d746f72f57da907a5587f7"),
+    "digraph14-L7": (lambda: _seeded_digraph(14, 0.3, 2027, 0.1), 7, 8443,
+                     "8114831cb735223777e593eab9be7d8f"
+                     "2a939b13f5758b5fb35587fc694e8e74"),
+    "digraph160-L5": (lambda: _seeded_digraph(160, 0.012, 2027, 0.05), 5,
+                      36883,
+                      "688a916a34cd976488d08073285550ad"
+                      "e5b77182305999fc580c13f57dc9df7b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_ORDER))
+def test_visit_order_is_pinned(case):
+    make_graph, max_size, visits, digest = _GOLDEN_ORDER[case]
+    h = hashlib.sha256()
+    count = 0
+    for visit in connected_induced_subgraphs(make_graph(), max_size):
+        h.update(f"{visit.vertices}:{visit.neighbour_count};".encode())
+        count += 1
+    assert (count, h.hexdigest()) == (visits, digest)
+
+
+def _connected_sets_by_growth(g, max_size):
+    """Connected vertex sets of size <= max_size, breadth first: each size's
+    sets are the previous size's sets plus one neighbour."""
+    level = {frozenset([v]) for v in range(g.vertex_count)}
+    found = set(level)
+    for _ in range(max_size - 1):
+        level = {s | {w} for s in level for v in s
+                 for w in g.undirected_neighbours(v) if w not in s}
+        found |= level
+    return found
+
+
+def test_masks_wider_than_a_machine_word():
+    g = _seeded_digraph(160, 0.012, 99, 0.05)
+    visited = []
+    for visit in connected_induced_subgraphs(g, 4):
+        assert visit.neighbour_count == len(g.neighbourhood(visit.vertices))
+        visited.append(frozenset(visit.vertices))
+    assert len(visited) == len(set(visited))
+    assert max(max(s) for s in visited if len(s) > 1) > 128
+    assert set(visited) == _connected_sets_by_growth(g, 4)
