@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import shutil
 import urllib.request
 from importlib import resources
 from pathlib import Path
@@ -57,13 +58,19 @@ def fetch_snap(name: str, dest: Path | None = None, timeout: float = 60.0
     """Download and unpack one of the large signed networks.
 
     Requires network access; the decompressed edge list is written as
-    'src dst sign' text compatible with load_edge_list.
+    'src dst sign' text compatible with load_edge_list.  ``timeout`` bounds
+    each blocking step of the connection, in seconds.
     """
     if name not in SNAP_URLS:
         raise KeyError(f"unknown dataset {name!r}; choose from {sorted(SNAP_URLS)}")
     dest = dest or snap_path(name)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    raw, _ = urllib.request.urlretrieve(SNAP_URLS[name])  # noqa: S310
-    with gzip.open(raw, "rt") as fh:
-        dest.write_text(fh.read())
+    # unpacked beside dest and renamed when complete, so an interrupted
+    # download never leaves a truncated file that looks fetched
+    part = dest.with_name(dest.name + ".part")
+    with urllib.request.urlopen(SNAP_URLS[name],  # noqa: S310
+                                timeout=timeout) as response, \
+            gzip.open(response) as unpacked, part.open("wb") as out:
+        shutil.copyfileobj(unpacked, out)
+    part.replace(dest)
     return dest

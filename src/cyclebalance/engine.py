@@ -34,17 +34,19 @@ Tr A^l = Tr(A^m A^(l-m)) = sum_ij (A^m)_ij (A^(l-m))_ji gives the trace by
 an O(h^2) elementwise product instead of an O(h^3) matrix product; its
 terms are bounded as above by Tr |A_H|^l <= h r^l.
 
-Acyclicity filter.  An induced subgraph without a directed cycle has a
-nilpotent adjacency matrix, so all its traces vanish and it is skipped.
-It is found by stripping sinks over out-neighbour bitmasks.
-A graph built from an undirected network holds the reverse of every edge,
-so every connected subgraph with h >= 2 contains a 2-cycle: the filter
-could never skip one there, and it runs on directed graphs only.
+Assembly and acyclicity filter.  Each subgraph is enumerated right after
+its parent, itself minus its last vertex, so a size class is built in one
+vectorised step from its parents' stacked int8 matrices: only the new
+vertex's row and column are looked up, 2h-1 arc searches in place of h^2.
+A subgraph without a directed cycle has a nilpotent matrix and is skipped.
+One holding a cyclic parent holds its cycle; the others are stripped of
+sinks (on undirected networks only singletons and pairs: edges are 2-cycles).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -152,39 +154,16 @@ class BalanceTable:
         return [r.length for r in self.rows if r.ratio_negative is not None]
 
 
-def _successor_masks(g: SignedDigraph) -> list[int]:
-    """Bit w of entry v is set iff arc (v, w) exists; a self-loop sets v's
-    own bit."""
-    succ = [0] * g.vertex_count
-    for u, v in g.edges:
-        succ[u] |= 1 << v
-    return succ
-
-
-def _acyclic(vertices: tuple[int, ...], succ: list[int]) -> bool:
-    """True if the subgraph induced on ``vertices`` has no directed cycle
-    (nilpotent adjacency: every trace power vanishes, so it cannot
-    contribute).
-
-    ``succ[v]`` masks the out-neighbours of v; a self-loop is v's own bit,
-    so a looped vertex is never a sink.  Sinks are stripped until none
-    remains (acyclic) or every vertex left has an out-arc inside (cyclic).
-    """
-    inside = 0
-    for v in vertices:
-        inside |= 1 << v
-    left = vertices
-    while left:
-        kept = []
-        for v in left:
-            if succ[v] & inside:
-                kept.append(v)
-            else:
-                inside ^= 1 << v
-        if len(kept) == len(left):
-            return False
-        left = kept
-    return True
+def _has_cycle(mats: np.ndarray) -> np.ndarray:
+    """Whether each stacked adjacency matrix (k, h, h) has a directed cycle:
+    h rounds strip sinks, vertices without an out-arc to a vertex left.  An
+    acyclic graph loses one or more per round; a cycle's vertices (a loop
+    is an out-arc) are never stripped."""
+    arcs = mats != 0
+    left = np.ones(mats.shape[:2], dtype=bool)
+    for _ in range(mats.shape[1]):
+        left &= (arcs & left[:, None, :]).any(axis=2)
+    return left.any(axis=1)
 
 
 def _exact_dtype(bound: int) -> np.dtype:
@@ -265,51 +244,60 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
                  unsigned: bool = True) -> list[TruncatedSeries]:
     """Evaluate the generating function; returns the requested weightings.
 
-    One enumeration pass accumulates the signed and unsigned variants
-    together (they share subgraphs and neighbour counts).  Subgraphs are
-    grouped by size, sorted by neighbour count and batched into stacked
-    matrix products, each batch in the dtypes its bound keeps exact.
+    One enumeration serves both weightings.  Size classes are assembled and
+    filtered in turn (module docstring), sorted by neighbour count and
+    batched into stacked matrix products in the dtypes their bounds allow.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     n_out = int(signed) + int(unsigned)
     if n_out == 0:
         raise ValueError("request at least one weighting")
-    succ = _successor_masks(g)
-    directed = not g.from_undirected
-    # index h: the size-h subgraphs that may host a cycle, and their |N(H)|
-    members = [[] for _ in range(max_length + 1)]
-    nbs = [[] for _ in range(max_length + 1)]
+    # per size h: each visit's last vertex, parent's index and |N(H)|
+    lasts, parents, nbs = ([array("q") for _ in range(max_length + 1)]
+                           for _ in range(3))
     for vs, nc in connected_vertex_sets(g, max_length):
         h = len(vs)
-        # a singleton hosts a cycle only through a self-loop
-        if (h == 1 or directed) and _acyclic(vs, succ):
-            continue
-        members[h].append(vs)
+        parents[h].append(len(lasts[h - 1]) - 1)
+        lasts[h].append(vs[-1])
         nbs[h].append(nc)
 
-    buckets = [[0] * (max_length + 1) for _ in range(n_out)]
     n = g.vertex_count
     arcs = sorted(g.edges.items())
-    keys = np.array([u * n + v for (u, v), _ in arcs], dtype=np.int64)
-    signs = np.array([s for _, s in arcs], dtype=np.int8)
+    # the sentinel n*n, above every vertex pair, keeps each search in range
+    keys = np.array([u * n + v for (u, v), _ in arcs] + [n * n], np.int64)
+    signs = np.array([s for _, s in arcs] + [0], dtype=np.int8)
+    buckets = [[0] * (max_length + 1) for _ in range(n_out)]
+    # class 0: the empty set, parent of every singleton
+    verts, mats = np.zeros((1, 0), np.int32), np.zeros((1, 0, 0), np.int8)
+    cyclic = np.zeros(1, dtype=bool)
     for h in range(1, max_length + 1):
-        if not members[h]:
-            continue
-        nb = np.array(nbs[h])
-        order = np.argsort(nb, kind="stable")
-        nb = nb[order]
-        vidx = np.array(members[h], dtype=np.int64)[order]
-        half = (min(max_length, h + int(nb[-1])) + 1) // 2
+        parent = np.frombuffer(parents[h], dtype=np.int64)
+        last = np.frombuffer(lasts[h], dtype=np.int64)[:, None]
+        up_verts, up_mats, k = verts, mats, len(parent)
+        verts, mats = np.empty((k, h), np.int32), np.zeros((k, h, h), np.int8)
+        cyclic = cyclic[parent]  # a parent's cycle lies in the subgraph
+        step = max(1, _CHUNK_BYTES // (8 * h))  # bounds lookup temporaries
+        for start in range(0, k, step):
+            p, v, rows, sub, cyc = (a[start:start + step] for a in
+                                    (parent, last, verts, mats, cyclic))
+            old = up_verts[p].astype(np.int64)
+            rows[:] = np.hstack([old, v])
+            sub[:, :-1, :-1] = up_mats[p]
+            # the new vertex's out-arcs, then its in-arcs from the others
+            pair = np.hstack([v * n + rows, v + n * old])
+            pos = np.searchsorted(keys, pair)
+            found = np.where(keys[pos] == pair, signs[pos], 0)
+            sub[:, -1], sub[:, :-1, -1] = found[:, :h], found[:, h:]
+            cyc[~cyc] = _has_cycle(sub[~cyc])
+        nb = np.frombuffer(nbs[h], dtype=np.int64)
+        kept = np.flatnonzero(cyclic)[np.argsort(nb[cyclic], kind="stable")]
+        nb = nb[kept]
+        half = (min(max_length, h + int(nb.max(initial=0))) + 1) // 2
         step = max(1, _CHUNK_BYTES // (8 * n_out * h * h * (half + 2)))
         for start in range(0, len(nb), step):
-            part = vidx[start:start + step]
-            # look up every vertex pair of every subgraph among the arcs
-            pair = part[:, :, None] * n + part[:, None, :]
-            pos = np.minimum(np.searchsorted(keys, pair), len(keys) - 1)
-            sub = np.where(keys[pos] == pair, signs[pos], 0).astype(np.int8)
-            _add_batch(buckets, sub, nb[start:start + step], max_length,
-                       signed, unsigned)
+            _add_batch(buckets, mats[kept[start:start + step]],
+                       nb[start:start + step], max_length, signed, unsigned)
     return _finish(buckets, max_length)
 
 
@@ -366,17 +354,28 @@ def estimate_ratios(r: float | None) -> tuple[float | None, float | None]:
 def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
     """R, U, K for lengths 1..3 via trace formulas (loops stripped for l >= 2).
 
-    Agrees with cycle_census for l <= 3 on any graph; cheap enough for
-    networks far beyond the reach of full enumeration.
+    Agrees with cycle_census for l <= 3 on any graph, in O(m d) time for m
+    arcs of out-degree at most d.  Every partial sum of the sparse int64
+    products is bounded by Tr |S|^3 <= m d (S without the diagonal), so
+    they are exact below 2^62; a larger graph raises OverflowError.
     """
-    def weights(full, stripped):
-        # l=1: self-loops, directly from the diagonal; each 2-cycle
-        # contributes twice to the trace and each directed triangle thrice
-        sq = stripped @ stripped
-        return [int(np.trace(full)), int(np.trace(sq)) // 2,
-                int(np.trace(sq @ stripped)) // 3]
+    from scipy import sparse
 
-    a = g.adjacency(signed=True, dtype=object)
-    at = g.adjacency(signed=True, strip_loops=True, dtype=object)
+    loops = [s for (u, v), s in g.edges.items() if u == v]
+    arcs = {uv: s for uv, s in g.edges.items() if uv[0] != uv[1]}
+    tails, heads = np.array(list(arcs), dtype=np.int64).reshape(-1, 2).T
+    d = int(np.bincount(tails, minlength=1).max())
+    if len(arcs) * d >= _INT64_EXACT:
+        raise OverflowError(f"{len(arcs)} arcs of out-degree up to {d}: "
+                            f"Tr S^3 could exceed 2^62")
+
+    def weights(signs):
+        # a 2-cycle adds twice to Tr S^2, a directed triangle thrice to Tr S^3
+        s = sparse.csr_array((signs, (tails, heads)),
+                             shape=(g.vertex_count,) * 2)
+        return [int(s.multiply(s.T).sum()) // 2,
+                int((s @ s).multiply(s.T).sum()) // 3]
+
+    signs = np.array(list(arcs.values()), dtype=np.int64)
     return balance_table(CycleCensus.from_weights(
-        weights(a, at), weights(np.abs(a), np.abs(at))))
+        [sum(loops)] + weights(signs), [len(loops)] + weights(np.abs(signs))))

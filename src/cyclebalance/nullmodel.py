@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .engine import (BalanceRow, BalanceTable, balance_table, cycle_census,
                      estimate_ratios)
@@ -171,6 +170,10 @@ def fit_correlation_length(table: BalanceTable,
     if all(r == 1.0 for _, r in pts):
         # saturated balance ratios: the model approaches them only as xi -> 0
         return CorrelationFit(0.0, 0.0, tuple(l for l, _ in pts), 0.0, True)
+
+    # imported here, as only this fit needs it: scipy.optimize takes
+    # several times the time and memory of the rest of the package to load
+    from scipy.optimize import minimize_scalar
 
     def loss(xi: float) -> float:
         return sum((r - model_ratio(l, xi)) ** 2 for l, r in pts)

@@ -12,6 +12,12 @@ it in ascending id.  H is extended by its candidates u in list order, and
 H + u takes as its candidates those after u, followed by the vertices
 above the root that u reaches first (outside H and N(H)) in ascending id.
 
+Parent order, a contract the cycle engine relies on.  Every visit H with
+|H| >= 2 comes after its parent, H without its last vertex, and no other
+visit of size |H| - 1 comes between them: the latest visit one vertex
+smaller is always the parent.  The engine builds each subgraph's matrix
+from its parent's on that basis.
+
 Masks.  A vertex set is a Python int with bit v set for vertex v.  Each
 vertex's orientation-erased neighbour mask is built once per call; H and
 N(H) are kept as masks and |N(H)| is ``int.bit_count()``.  Python ints

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebalance.engine import (CycleEngineError, _acyclic, _exact_dtype,
-                                 _successor_masks, balance_table,
-                                 cycle_census, cycle_polynomial,
-                                 exact_low_order_ratios)
+from cyclebalance import engine
+from cyclebalance.engine import (CycleEngineError, _exact_dtype, _has_cycle,
+                                 balance_table, cycle_census,
+                                 cycle_polynomial, exact_low_order_ratios)
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.oracle import brute_force_census, complete_graph_census
 from cyclebalance.series import TruncatedSeries
@@ -167,6 +167,38 @@ def test_low_order_matches_census(rng):
             assert a.ratio_negative == b.ratio_negative
 
 
+def _local_sparse_digraph(n, seed):
+    """Arcs between ring neighbours up to 3 apart, in one direction or
+    both, plus a few self-loops: sparse, with many 2- and 3-cycles."""
+    rng = random.Random(seed)
+    edges = {}
+    for u in range(n):
+        if rng.random() < 0.05:
+            edges[(u, u)] = rng.choice((1, -1))
+        for step in (1, 2, 3):
+            v = (u + step) % n
+            for arc in rng.choice((((u, v),), ((v, u),), ((u, v), (v, u)))):
+                edges[arc] = rng.choice((1, -1))
+    return SignedDigraph(n, edges)
+
+
+def test_low_order_matches_census_on_2000_vertices():
+    g = _local_sparse_digraph(2000, 11)
+    table = exact_low_order_ratios(g)
+    census = balance_table(cycle_census(g, 3))
+    assert table == census
+    assert min(r.n_pos + r.n_neg for r in table.rows) > 50
+
+
+def test_low_order_refuses_inexact_traces(monkeypatch):
+    # the triad has 6 arcs of out-degree 2: a bound of 12 is already too big
+    monkeypatch.setattr(engine, "_INT64_EXACT", 12)
+    with pytest.raises(OverflowError):
+        exact_low_order_ratios(TRIAD)
+    monkeypatch.setattr(engine, "_INT64_EXACT", 13)
+    assert exact_low_order_ratios(TRIAD) == balance_table(cycle_census(TRIAD, 3))
+
+
 def test_complete_graph_population():
     for n in range(2, 8):
         c = cycle_census(complete_graph(n), n)
@@ -200,17 +232,22 @@ def test_census_validation():
 
 
 def _filter_matches_nilpotency(g, max_size):
-    """Check the acyclicity filter on every connected induced subgraph of g
-    against its definition, |A_H|^h = 0; return how often each verdict came."""
-    succ = _successor_masks(g)
-    full = g.adjacency(signed=False)
-    verdicts = {True: 0, False: 0}
+    """Check the acyclicity filter on the stacked signed matrices of every
+    connected induced subgraph of g, one stack per size, against its
+    definition, |A_H|^h = 0; return how often each verdict came."""
+    full = g.adjacency(signed=True)
+    by_size = {}
     for visit in connected_induced_subgraphs(g, max_size):
-        vs = list(visit.vertices)
-        nilpotent = not np.linalg.matrix_power(
-            full[np.ix_(vs, vs)], len(vs)).any()
-        assert _acyclic(visit.vertices, succ) == nilpotent, vs
-        verdicts[nilpotent] += 1
+        by_size.setdefault(len(visit.vertices), []).append(visit.vertices)
+    verdicts = {True: 0, False: 0}
+    for h, sets in by_size.items():
+        idx = np.array(sets)
+        mats = full[idx[:, :, None], idx[:, None, :]]
+        nilpotent = ~np.linalg.matrix_power(np.abs(mats), h).any(axis=(1, 2))
+        cyclic = _has_cycle(mats.astype(np.int8))
+        assert (cyclic != nilpotent).all(), idx[cyclic == nilpotent]
+        for flag in (True, False):
+            verdicts[flag] += int((nilpotent == flag).sum())
     return verdicts
 
 

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cyclebalance
 from cyclebalance.engine import BalanceRow, BalanceTable, cycle_census
 from cyclebalance.graph import parse_edge_list
 from cyclebalance.nullmodel import (CorrelationFit, default_fit_range,
@@ -131,3 +135,14 @@ def test_shuffle_null_consistent_with_binomial_band(rng):
         if band.lower - 1e-9 <= row.ratio_negative <= band.upper + 1e-9:
             inside += 1
     assert total == 0 or inside / total >= 0.5
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # only the correlation fit needs scipy.optimize; a fresh interpreter
+    # that imports the package must not pay for it
+    src = str(Path(cyclebalance.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cyclebalance; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

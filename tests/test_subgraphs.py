@@ -7,6 +7,7 @@ import pytest
 from cyclebalance.datasets import load_gahuku_gama
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.subgraphs import (connected_induced_subgraphs,
+                                    connected_vertex_sets,
                                     enumerate_connected_induced_subgraphs)
 from _util import random_signed_digraph
 
@@ -130,6 +131,17 @@ def test_visit_order_is_pinned(case):
         h.update(f"{visit.vertices}:{visit.neighbour_count};".encode())
         count += 1
     assert (count, h.hexdigest()) == (visits, digest)
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_ORDER))
+def test_each_visit_follows_its_parent(case):
+    # the cycle engine builds each subgraph's matrix from its parent's: the
+    # latest visit one vertex smaller must be H minus its last vertex
+    make_graph, max_size, _, _ = _GOLDEN_ORDER[case]
+    latest = {0: ()}
+    for vertices, _ in connected_vertex_sets(make_graph(), max_size):
+        assert vertices[:-1] == latest[len(vertices) - 1]
+        latest[len(vertices)] = vertices
 
 
 def _connected_sets_by_growth(g, max_size):
