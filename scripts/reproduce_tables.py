@@ -42,7 +42,7 @@ def main(argv=None) -> int:
               f"p = {graph.negative_edge_fraction():.4f}")
         census = cycle_census(graph, L)
         table = balance_table(census)
-        orbits = balance_table(primitive_orbit_counts(graph, min(L, 12))).rows
+        orbits = balance_table(primitive_orbit_counts(graph, L)).rows
         walks = walk_ratios(graph, L)
         p = graph.negative_edge_fraction()
         print("len     N+        N-        R        U        K     R_walks"
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         for row in table.rows:
             ell = row.length
             wr = walks[ell - 1].ratio_negative
-            orb = orbits[ell - 1].ratio_negative if ell <= len(orbits) else None
+            orb = orbits[ell - 1].ratio_negative
             tot = row.n_pos + row.n_neg
             if tot:
                 band = null_band(p, ell, tot)

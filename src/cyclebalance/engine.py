@@ -22,17 +22,24 @@ r^k, so |(A_H^k)_ij| <= (|A_H|^k)_ij <= r^k and |Tr A_H^l| <= h r^l.  Every
 partial sum formed while multiplying A_H^(k-1) by A_H, or while summing a
 trace, adds a subset of the terms of the matching entry or trace of |A_H|,
 so its magnitude is bounded by the unsigned value, whatever the order of
-summation.  All values are integers, so float64 arithmetic is exact while
-the bound is below 2^53, int64 arithmetic while it is below 2^62, and
-object (Python int) arithmetic always.  Each array is computed in the
-cheapest of these that its bound allows.  A float64 array is widened to
-int64 before object, so an object array never holds floats.
+summation; a sum of the traces of k subgraphs is bounded by k h r^l.  All
+values are integers, so float64 arithmetic is exact while the bound is
+below 2^53, int64 arithmetic while it is below 2^62, and object (Python
+int) arithmetic always.  Each array is computed in the cheapest of these
+that its bound allows.  A float64 array is widened to int64 before object,
+so an object array never holds floats.
 
 Half powers.  With m = ceil(hi/2) for the largest degree hi a batch needs,
 only A_H^1..A_H^m are formed by matrix products.  For l > m the identity
 Tr A^l = Tr(A^m A^(l-m)) = sum_ij (A^m)_ij (A^(l-m))_ji gives the trace by
 an O(h^2) elementwise product instead of an O(h^3) matrix product; its
 terms are bounded as above by Tr |A_H|^l <= h r^l.
+
+One routine, ``_power_traces``, takes these exact traces for any stack of
+integer matrices, with r the largest row sum of |A| over the stack.  Besides
+the subgraph batches it serves ``orbits``: the signed and unsigned
+Hashimoto matrices (T, |T|) of the primitive-orbit census and the loopless
+adjacencies (A, |A|) of the closed-walk census, at any length.
 
 Assembly and acyclicity filter.  Each subgraph is enumerated right after
 its parent, itself minus its last vertex, so a size class is built in one
@@ -203,6 +210,33 @@ def _finish(buckets, max_length: int) -> list[TruncatedSeries]:
     return out
 
 
+def _power_traces(mats: np.ndarray, lo: int, hi: int):
+    """Yield (Tr A^l, h r^l) for l = lo..hi over a stack (..., h, h) of
+    integer matrices A; r is the largest row sum of |A| over the stack.
+
+    The traces are exact: only A^1..A^ceil(hi/2) are multiplied out, longer
+    traces come from the half-power identity, and each power and trace is
+    computed in the dtype that its bound h r^l allows (module docstring).
+    """
+    h = mats.shape[-1]
+    # einsum sums short int8 rows about twice as fast as ndarray.sum
+    r = int(np.einsum("...ij->...i", np.abs(mats), dtype=np.int64)
+            .max(initial=0))
+    half = (hi + 1) // 2
+    powers = [None, _widen(mats, _exact_dtype(h * r))]
+    for k in range(2, half + 1):
+        dtype = _exact_dtype(h * r**k)
+        powers.append(_widen(powers[-1], dtype) @ _widen(powers[1], dtype))
+    for ell in range(lo, hi + 1):
+        bound = h * r**ell
+        if ell <= half:
+            yield np.trace(powers[ell], axis1=-2, axis2=-1), bound
+        else:
+            dtype = _exact_dtype(bound)
+            yield np.einsum("...ij,...ji->...", _widen(powers[half], dtype),
+                            _widen(powers[ell - half], dtype)), bound
+
+
 def _add_batch(buckets, sub: np.ndarray, nb: np.ndarray, max_length: int,
                signed: bool, unsigned: bool) -> None:
     """Add the contributions of a batch of same-size subgraphs.
@@ -211,25 +245,11 @@ def _add_batch(buckets, sub: np.ndarray, nb: np.ndarray, max_length: int,
     their neighbour counts in ascending order.
     """
     h = sub.shape[1]
-    uns = np.abs(sub)
-    mats = np.stack([sub] * signed + [uns] * unsigned, axis=1)
-    r = int(uns.sum(axis=2).max())
+    mats = np.stack([sub] * signed + [np.abs(sub)] * unsigned, axis=1)
     hi = min(max_length, h + int(nb[-1]))
-    half = (hi + 1) // 2
-    a = _widen(mats, _exact_dtype(h * r**half))
-    powers = [None, a]
-    for _ in range(2, half + 1):
-        powers.append(powers[-1] @ a)
     # runs of equal neighbour count share one binomial coefficient per degree
     starts = np.flatnonzero(np.diff(nb, prepend=-1))
-    for ell in range(h, hi + 1):
-        bound = h * r**ell
-        if ell <= half:
-            tr = np.trace(powers[ell], axis1=2, axis2=3)
-        else:
-            dtype = _exact_dtype(bound)
-            tr = np.einsum("kwij,kwji->kw", _widen(powers[half], dtype),
-                           _widen(powers[ell - half], dtype))
+    for ell, (tr, bound) in enumerate(_power_traces(mats, h, hi), start=h):
         sums = np.add.reduceat(_widen(tr, _exact_dtype(len(nb) * bound)),
                                starts, axis=0)
         for n, row in zip(nb[starts].tolist(), sums):

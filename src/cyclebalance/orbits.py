@@ -12,6 +12,12 @@ powers of shorter ones) are counted from the traces by Mobius inversion
 over divisors; they coincide with simple cycles for lengths 3..5 on
 loopless graphs.  For undirected graphs the Stark-Terras three-term
 recursion computes the same traces from vertex-level matrices.
+
+Traces of T^l, and of A^l for closed walks, are exact integers from the
+engine's power-trace routine (its module docstring has the bound).  The
+exponential walk balance K = Tr exp(A) / Tr exp(|A|) is a float: both
+exponentials are shifted by the Perron root of |A| and taken with
+``scipy.linalg.expm`` (Estrada & Benzi, Phys. Rev. E 90, 2014).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BalanceRow, CycleCensus, balance_table
+from .engine import BalanceRow, CycleCensus, _power_traces, balance_table
 from .graph import GraphError, SignedDigraph
 
 __all__ = [
@@ -36,7 +42,7 @@ __all__ = [
 
 # Above this dimension dense powers of T are declared unsupported; the
 # orbit computation is meant for small and mid-sized networks.
-DEFAULT_DENSE_CAP = 4096
+DENSE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -49,9 +55,6 @@ class HashimotoMatrix:
     @property
     def dimension(self) -> int:
         return len(self.edge_index)
-
-    def unsigned(self) -> np.ndarray:
-        return np.abs(self.matrix)
 
 
 def hashimoto_matrix(g: SignedDigraph) -> HashimotoMatrix:
@@ -98,33 +101,7 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _signed_unsigned_traces(t: np.ndarray, max_power: int,
-                            dense_cap: int = DEFAULT_DENSE_CAP
-                            ) -> tuple[list[int], list[int]]:
-    """Exact traces of T^l and |T|^l for l = 1..max_power."""
-    n = t.shape[0]
-    if n > dense_cap:
-        raise GraphError(
-            f"Hashimoto dimension {n} exceeds the dense cap {dense_cap}; "
-            f"orbit counting at this scale is not supported"
-        )
-    # entries of T^l are bounded by n^(l-1), promote to exact ints if needed
-    dtype = np.int64 if n == 0 or n ** max(max_power - 1, 1) < 2**62 else object
-    stack = np.zeros((2, n, n), dtype=dtype)
-    stack[0] = t
-    stack[1] = np.abs(t)
-    power = stack.copy()
-    tr_signed, tr_unsigned = [], []
-    for _ in range(max_power):
-        tr = power.trace(axis1=1, axis2=2)
-        tr_signed.append(int(tr[0]))
-        tr_unsigned.append(int(tr[1]))
-        power = power @ stack
-    return tr_signed, tr_unsigned
-
-
-def primitive_orbit_counts(g: SignedDigraph, max_length: int,
-                           dense_cap: int = DEFAULT_DENSE_CAP) -> CycleCensus:
+def primitive_orbit_counts(g: SignedDigraph, max_length: int) -> CycleCensus:
     """Counts of positive/negative primitive orbits for lengths 1..max_length.
 
     Lengths 1 and 2 are always 0: a loopless graph has no closed non-
@@ -142,8 +119,14 @@ def primitive_orbit_counts(g: SignedDigraph, max_length: int,
     """
     if max_length < 3:
         raise ValueError("primitive orbits start at length 3")
-    h = hashimoto_matrix(g)
-    tr_s, tr_u = _signed_unsigned_traces(h.matrix, max_length, dense_cap)
+    if g.edge_count > DENSE_CAP:
+        raise GraphError(
+            f"Hashimoto dimension {g.edge_count} exceeds the dense cap "
+            f"{DENSE_CAP}; orbit counting at this scale is not supported"
+        )
+    mat = hashimoto_matrix(g).matrix
+    tr_s, tr_u = zip(*(map(int, tr) for tr, _ in _power_traces(
+        np.stack([mat, np.abs(mat)]), 1, max_length)))
     tot = {1: 0, 2: 0}
     diff = {1: 0, 2: 0}
     for ell in range(3, max_length + 1):
@@ -224,25 +207,17 @@ def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
 
     A closed walk is positive or negative by the product of its signs, so
     Tr A^l and Tr |A|^l are the signed and unsigned sums of a census of
-    closed walks.  Length 1 uses the raw adjacency (self-loops count);
-    lengths >= 2 strip the diagonal.  Lengths with no closed walks are
-    undefined.
+    closed walks.  Length 1 counts the self-loops; lengths >= 2 strip the
+    diagonal.  Lengths with no closed walks are undefined.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    full = g.adjacency(signed=True, dtype=object)
-    a = g.adjacency(signed=True, strip_loops=True, dtype=object)
-    b = np.abs(a)
-    signed, unsigned = [], []
-    pw_a, pw_b = a, b
-    for ell in range(1, max_length + 1):
-        if ell == 1:
-            signed.append(int(full.trace()))
-            unsigned.append(int(np.abs(full).trace()))
-        else:
-            pw_a, pw_b = pw_a @ a, pw_b @ b
-            signed.append(int(pw_a.trace()))
-            unsigned.append(int(pw_b.trace()))
+    loops = [s for (u, v), s in g.edges.items() if u == v]
+    signed, unsigned = [sum(loops)], [len(loops)]
+    a = g.adjacency(signed=True, strip_loops=True)
+    for tr, _ in _power_traces(np.stack([a, np.abs(a)]), 2, max_length):
+        signed.append(int(tr[0]))
+        unsigned.append(int(tr[1]))
     return balance_table(CycleCensus.from_weights(signed, unsigned)).rows
 
 
@@ -250,30 +225,22 @@ def weighted_degree_of_balance(g: SignedDigraph, size_cap: int = 2000
                                ) -> tuple[float, float]:
     """(K, U_walks) from exponential walk sums: K = Tr exp(A) / Tr exp(|A|).
 
-    The series is summed until the term falls below 1e-12 of the running
-    magnitude.  Graphs beyond ``size_cap`` vertices are refused.
+    Both exponentials are shifted by the Perron root m of |A|, the largest
+    real part of its eigenvalues: K = Tr exp(A - mI) / Tr exp(|A| - mI).
+    The shift cancels in the ratio.  No eigenvalue of A or |A| has a real
+    part above m, so neither trace overflows; the Perron eigenvalue adds
+    exp(0) = 1 to the denominator.  Graphs beyond ``size_cap`` vertices
+    are refused.
     """
+    from scipy.linalg import expm
+
     n = g.vertex_count
     if n > size_cap:
         raise GraphError(f"graph has {n} vertices, above the size cap "
                          f"{size_cap} for dense exponentials")
     a = g.adjacency(signed=True, dtype=np.float64)
     b = np.abs(a)
-    d = _trace_exp(a)
-    d_plus = _trace_exp(b)
-    k = d / d_plus
+    shift = np.linalg.eigvals(b).real.max(initial=0.0) * np.eye(n)
+    k = float(np.trace(expm(a - shift))) / float(np.trace(expm(b - shift)))
     u = (1 - k) / (1 + k) if k != -1 else math.inf
     return k, u
-
-
-def _trace_exp(a: np.ndarray, rtol: float = 1e-12) -> float:
-    n = a.shape[0]
-    term = np.eye(n)
-    total = float(n)  # l = 0 term
-    for ell in range(1, 10_000):
-        term = term @ a / ell
-        t = float(np.trace(term))
-        total += t
-        if np.abs(term).sum() < rtol * max(1.0, abs(total)):
-            break
-    return total

@@ -195,7 +195,10 @@ GOLDEN_CASES = {
     "lowexact": ("lowexact",),
     "orbits": ("orbits", "--max-length", "8"),
     "orbits-short": ("orbits", "--max-length", "2"),
+    # at length 20 the traces reach the int64 and object dtypes
+    "orbits-20": ("orbits", "--max-length", "20"),
     "walks": ("walks", "--max-length", "8"),
+    "walks-20": ("walks", "--max-length", "20"),
     "null": ("null", "--max-length", "8"),
     "report": ("report", "--max-length", "8"),
     "fit": ("fit", "--max-length", "8"),
@@ -214,10 +217,14 @@ GOLDEN_SHA256 = {
     ("lowexact", "json"): "08d4d3b257885d6cf91c4bb2e59c56dfec5138987f46fe4672565f06e878cfaf",
     ("orbits", "csv"): "cd13c90aa8d3a336ab763ab128e18f1194a5c23303fa28eb6cea8e1120bed12d",
     ("orbits", "json"): "76d7e3b62eafb375420e7568db37d3e7bd3fc034c5cbb13411f10471175d1db0",
+    ("orbits-20", "csv"): "2312780e765304e5080a0f1ef6e82fe7a74f5901644c339549a3f4b9b3ae6c09",
+    ("orbits-20", "json"): "5912111c4fe72407beea7664f418463fb1815131808fa036a3636194cca0b2dd",
     ("orbits-short", "csv"): "b2b560eb4b47ef1b08c1af0dc9961af6419997868d84ceeefa09bc95cb33a0a9",
     ("orbits-short", "json"): "075bd7209c252bd5d7509268465998ddef917a6be3baf2f1b08a71a426cb290d",
     ("walks", "csv"): "0ac7b61f06568ec695be31cb1a8209e52b685a37e6211545df7bebbc17588e66",
     ("walks", "json"): "e565449921cc0027c28d5b64ff80be2954fdb0f44474e1610dc8a4ea191e5ba2",
+    ("walks-20", "csv"): "eb9a610063940d0f423506ff32aa7f673973efc78493fe53412357df2f36fa8d",
+    ("walks-20", "json"): "55ec9d13875548b6e52b503a4809702c9c9e15f99fa9ae069631d35038abd143",
     ("null", "csv"): "b36d29a33943b1662cf91f8923119cb329846081e909f95a0868063b6d3e1014",
     ("null", "json"): "773a1c15350229946b4b67a0cf54d67485ec8a9206656a086d91862b51520bdd",
     ("report", "csv"): "b36d29a33943b1662cf91f8923119cb329846081e909f95a0868063b6d3e1014",

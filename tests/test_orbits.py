@@ -1,10 +1,13 @@
-import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cyclebalance import engine, orbits
 from cyclebalance.engine import balance_table, cycle_census
-from cyclebalance.graph import GraphError, SignedDigraph, parse_edge_list
+from cyclebalance.graph import (GraphError, SignedDigraph, complete_graph,
+                                parse_edge_list)
 from cyclebalance.orbits import (hashimoto_matrix, mobius,
                                  primitive_orbit_counts,
                                  stark_terras_orbit_walks, walk_ratios,
@@ -89,25 +92,60 @@ def test_orbits_equal_cycles_up_to_five(rng):
 
 def test_orbit_trace_round_trip(rng):
     # divisor-sum reconstruction: l^-1 Tr|T|^l = sum_{k|l} N_{l/k} / k must
-    # invert the Mobius step for orbit totals
-    for _ in range(10):
-        g = random_signed_digraph(rng, max_vertices=7, edge_prob=0.4,
-                                  undirected=True)
+    # invert the Mobius step for orbit totals; K9 reaches all three dtypes
+    graphs = [random_signed_digraph(rng, max_vertices=7, edge_prob=0.4,
+                                    undirected=True) for _ in range(10)]
+    for g, max_length in [(g, 8) for g in graphs] + [(complete_graph(9), 20)]:
         if g.edge_count == 0:
             continue
-        h = hashimoto_matrix(g)
-        tu = np.abs(h.matrix).astype(object)
-        oc = primitive_orbit_counts(g, 8)
-        totals = {l: oc.n_pos(l) + oc.n_neg(l) for l in range(3, 9)}
+        tu = np.abs(hashimoto_matrix(g).matrix).astype(object)
+        oc = primitive_orbit_counts(g, max_length)
         power = tu.copy()
-        traces = {}
-        for l in range(1, 9):
-            traces[l] = int(power.trace())
-            power = power @ tu
-        for l in range(3, 9):
-            recon = sum(totals.get(l // k, 0) / k for k in range(1, l + 1)
+        for l in range(1, max_length + 1):
+            recon = sum(Fraction(oc.total(l // k), k) for k in range(1, l + 1)
                         if l % k == 0 and l // k >= 3)
-            assert math.isclose(traces[l] / l, recon), (l, traces[l], recon)
+            assert Fraction(int(power.trace()), l) == recon, l
+            power = power @ tu
+
+
+@pytest.fixture
+def widened(monkeypatch):
+    """Dtypes of every array the exact power-trace routine widens."""
+    seen = set()
+    widen = engine._widen
+
+    def spy(a, dtype):
+        out = widen(a, dtype)
+        seen.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(engine, "_widen", spy)
+    return seen
+
+
+def test_walk_ratios_negative_k20_all_dtypes(widened):
+    # |A| = J - I has eigenvalues 19 and -1 (19 times); every closed walk
+    # of an all-negative graph has sign (-1)^l.  Up to length 30 the half
+    # powers themselves pass through all three dtypes.
+    rows = walk_ratios(complete_graph(20, -1), 30)
+    for ell, row in enumerate(rows, start=1):
+        total = 19**ell + 19 * (-1) ** ell
+        assert (row.n_pos, row.n_neg) == \
+            ((total, 0) if ell % 2 == 0 else (0, total)), ell
+    assert widened == {np.dtype(np.float64), np.dtype(np.int64),
+                       np.dtype(object)}
+
+
+def test_orbits_negative_k9_all_dtypes(widened):
+    negative = primitive_orbit_counts(complete_graph(9, -1), 20)
+    assert widened == {np.dtype(np.float64), np.dtype(np.int64),
+                       np.dtype(object)}
+    positive = primitive_orbit_counts(complete_graph(9), 20)
+    for ell in range(3, 21):
+        total = positive.total(ell)
+        assert total > 0
+        assert (negative.n_pos(ell), negative.n_neg(ell)) == \
+            ((total, 0) if ell % 2 == 0 else (0, total)), ell
 
 
 def test_stark_terras_identities(rng):
@@ -166,9 +204,15 @@ def test_weighted_degree_of_balance_triad():
 
 
 def test_weighted_degree_all_positive():
-    k, u = weighted_degree_of_balance(TRIANGLE)
-    assert k == pytest.approx(1.0, abs=1e-12)
-    assert u == pytest.approx(0.0, abs=1e-12)
+    # the star's hub degree 800 is far above its Perron root sqrt(800): as
+    # the exponentials' shift it would underflow both traces to 0
+    star = SignedDigraph(801, {e: 1 for v in range(1, 801)
+                               for e in ((0, v), (v, 0))},
+                         from_undirected=True)
+    for g in (TRIANGLE, star):
+        k, u = weighted_degree_of_balance(g)
+        assert k == pytest.approx(1.0, abs=1e-12)
+        assert u == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weighted_degree_gauge_invariance(rng):
@@ -193,6 +237,30 @@ def test_weighted_degree_size_cap():
     g = parse_edge_list("0 1 1", undirected=True)
     with pytest.raises(GraphError):
         weighted_degree_of_balance(g, size_cap=1)
+
+
+def test_orbits_refuse_hashimoto_above_dense_cap(monkeypatch):
+    monkeypatch.setattr(orbits, "DENSE_CAP", 5)
+    with pytest.raises(GraphError, match="dense cap 5"):
+        primitive_orbit_counts(TRIANGLE, 3)
+    monkeypatch.setattr(orbits, "DENSE_CAP", 6)
+    assert primitive_orbit_counts(TRIANGLE, 3).n_pos(3) == 2
+
+
+def test_weighted_degree_dense_720_vertices_is_finite():
+    # the spectral radius 719 overflows an unshifted exponential series
+    r = random.Random(1)
+    edges = {}
+    for u in range(720):
+        for v in range(u + 1, 720):
+            edges[u, v] = edges[v, u] = 1 if r.random() < 0.7 else -1
+    g = SignedDigraph(720, edges, from_undirected=True)
+    k, _ = weighted_degree_of_balance(g)
+    lam = np.linalg.eigvalsh(g.adjacency(signed=True, dtype=np.float64))
+    mu = np.linalg.eigvalsh(g.adjacency(signed=False, dtype=np.float64))
+    want = np.exp(lam - mu.max()).sum() / np.exp(mu - mu.max()).sum()
+    assert 0 < want < 1e-100
+    assert k == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def _direct_orbit_counts(g, max_length):

@@ -27,12 +27,14 @@ def tables(text):
 
 
 def test_reproduce_tables(capsys):
-    assert load_script("reproduce_tables").main(["--max-length", "8"]) == 0
+    assert load_script("reproduce_tables").main(["--max-length", "13"]) == 0
     triad, tribes = tables(capsys.readouterr().out)
     assert [int(r[0]) for r in triad] == [1, 2, 3]
-    assert [int(r[0]) for r in tribes] == list(range(1, 9))
+    assert [int(r[0]) for r in tribes] == list(range(1, 14))
     # on a loopless graph closed 3-walks and 3-orbits are the triangles
     assert tribes[2][3] == tribes[2][6] == tribes[2][7] == "13.24%"
+    # the orbit column runs to the maximum length, like the walk column
+    assert tribes[12][7] == "47.92%"
 
 
 def test_montecarlo_demo(capsys):
@@ -42,3 +44,4 @@ def test_montecarlo_demo(capsys):
     assert code == 0
     (rows,) = tables(capsys.readouterr().out)
     assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
+
