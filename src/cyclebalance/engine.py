@@ -41,11 +41,14 @@ the subgraph batches it serves ``orbits``: the signed and unsigned
 Hashimoto matrices (T, |T|) of the primitive-orbit census and the loopless
 adjacencies (A, |A|) of the closed-walk census, at any length.
 
-Assembly and acyclicity filter.  Each subgraph is enumerated right after
-its parent, itself minus its last vertex, so a size class is built in one
-vectorised step from its parents' stacked int8 matrices: only the new
-vertex's row and column are looked up, 2h-1 arc searches in place of h^2.
-A subgraph without a directed cycle has a nilpotent matrix and is skipped.
+Assembly and acyclicity filter.  ``subgraphs.size_classes`` hands over
+the subgraphs one size class at a time, block by block: per subgraph the
+index of its parent (itself minus its last vertex) in the block's previous
+class, its vertex row and |N(H)|.  So a class is built in vectorised slices
+from its parents' stacked int8 matrices: only the new vertex's row and
+column are looked up, 2h-1 arc searches in place of h^2.  The buckets are
+exact integers, so neither block nor class order changes a count.  A
+subgraph without a directed cycle has a nilpotent matrix and is skipped.
 One holding a cyclic parent holds its cycle; the others are stripped of
 sinks (on undirected networks only singletons and pairs: edges are 2-cycles).
 """
@@ -53,7 +56,6 @@ sinks (on undirected networks only singletons and pairs: edges are 2-cycles).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,7 +63,7 @@ import numpy as np
 
 from .graph import SignedDigraph
 from .series import TruncatedSeries
-from .subgraphs import connected_vertex_sets
+from .subgraphs import size_classes
 
 __all__ = [
     "CycleEngineError",
@@ -273,36 +275,24 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
     n_out = int(signed) + int(unsigned)
     if n_out == 0:
         raise ValueError("request at least one weighting")
-    # per size h: each visit's last vertex, parent's index and |N(H)|
-    lasts, parents, nbs = ([array("q") for _ in range(max_length + 1)]
-                           for _ in range(3))
-    for vs, nc in connected_vertex_sets(g, max_length):
-        h = len(vs)
-        parents[h].append(len(lasts[h - 1]) - 1)
-        lasts[h].append(vs[-1])
-        nbs[h].append(nc)
-
     n = g.vertex_count
     arcs = sorted(g.edges.items())
     # the sentinel n*n, above every vertex pair, keeps each search in range
     keys = np.array([u * n + v for (u, v), _ in arcs] + [n * n], np.int64)
     signs = np.array([s for _, s in arcs] + [0], dtype=np.int8)
     buckets = [[0] * (max_length + 1) for _ in range(n_out)]
-    # class 0: the empty set, parent of every singleton
-    verts, mats = np.zeros((1, 0), np.int32), np.zeros((1, 0, 0), np.int8)
-    cyclic = np.zeros(1, dtype=bool)
-    for h in range(1, max_length + 1):
-        parent = np.frombuffer(parents[h], dtype=np.int64)
-        last = np.frombuffer(lasts[h], dtype=np.int64)[:, None]
-        up_verts, up_mats, k = verts, mats, len(parent)
-        verts, mats = np.empty((k, h), np.int32), np.zeros((k, h, h), np.int8)
+    for parent, verts, nb in size_classes(g, max_length):
+        k, h = verts.shape
+        if h == 1:  # a new block; class 0 is the empty set
+            mats, cyclic = np.zeros((1, 0, 0), np.int8), np.zeros(1, bool)
+        up_mats, mats = mats, np.zeros((k, h, h), np.int8)
         cyclic = cyclic[parent]  # a parent's cycle lies in the subgraph
         step = max(1, _CHUNK_BYTES // (8 * h))  # bounds lookup temporaries
         for start in range(0, k, step):
-            p, v, rows, sub, cyc = (a[start:start + step] for a in
-                                    (parent, last, verts, mats, cyclic))
-            old = up_verts[p].astype(np.int64)
-            rows[:] = np.hstack([old, v])
+            p, rows, sub, cyc = (a[start:start + step] for a in
+                                 (parent, verts, mats, cyclic))
+            rows = rows.astype(np.int64)
+            v, old = rows[:, -1:], rows[:, :-1]
             sub[:, :-1, :-1] = up_mats[p]
             # the new vertex's out-arcs, then its in-arcs from the others
             pair = np.hstack([v * n + rows, v + n * old])
@@ -310,7 +300,6 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
             found = np.where(keys[pos] == pair, signs[pos], 0)
             sub[:, -1], sub[:, :-1, -1] = found[:, :h], found[:, h:]
             cyc[~cyc] = _has_cycle(sub[~cyc])
-        nb = np.frombuffer(nbs[h], dtype=np.int64)
         kept = np.flatnonzero(cyclic)[np.argsort(nb[cyclic], kind="stable")]
         nb = nb[kept]
         half = (min(max_length, h + int(nb.max(initial=0))) + 1) // 2

@@ -229,12 +229,15 @@ def weighted_degree_of_balance(g: SignedDigraph, size_cap: int = 2000
     real part of its eigenvalues: K = Tr exp(A - mI) / Tr exp(|A| - mI).
     The shift cancels in the ratio.  No eigenvalue of A or |A| has a real
     part above m, so neither trace overflows; the Perron eigenvalue adds
-    exp(0) = 1 to the denominator.  Graphs beyond ``size_cap`` vertices
-    are refused.
+    exp(0) = 1 to the denominator.  Graphs beyond ``size_cap`` vertices,
+    and graphs without vertices, whose traces are both 0, are refused.
     """
     from scipy.linalg import expm
 
     n = g.vertex_count
+    if n == 0:
+        raise GraphError("graph has no vertices: K = Tr exp(A) / Tr exp(|A|) "
+                         "is 0/0")
     if n > size_cap:
         raise GraphError(f"graph has {n} vertices, above the size cap "
                          f"{size_cap} for dense exponentials")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebalance import engine
+from cyclebalance import engine, subgraphs
 from cyclebalance.engine import (CycleEngineError, _exact_dtype, _has_cycle,
                                  balance_table, cycle_census,
                                  cycle_polynomial, exact_low_order_ratios)
@@ -108,6 +108,30 @@ def test_engine_equals_oracle_on_random_graphs(rng):
                                   loop_prob=0.1, undirected=undirected)
         L = rng.randint(1, g.vertex_count + 2)
         assert cycle_census(g, L) == brute_force_census(g, L)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_engine_equals_oracle_across_mask_words(n):
+    # vertex masks are uint64 words: these sizes fill, overfill and span them
+    rng = random.Random(n)
+    for undirected in (False, True):
+        g = random_signed_digraph(rng, edge_prob=3 / n, loop_prob=0.05,
+                                  undirected=undirected, vertices=n)
+        assert cycle_census(g, 5) == brute_force_census(g, 5)
+
+
+def test_censuses_equal_across_root_blocks(monkeypatch):
+    # one word a mask forces blocks of roots: blocks of several roots on the
+    # undirected graphs, wide single-root blocks on the directed ones
+    rng = random.Random(0)
+    graphs = [random_signed_digraph(rng, edge_prob=p, loop_prob=0.05,
+                                    undirected=undirected, vertices=n)
+              for n, p, undirected in [(70, 0.03, False), (100, 0.02, True),
+                                       (150, 0.015, False),
+                                       (130, 0.015, True)]]
+    one_block = [cycle_census(g, 5) for g in graphs]
+    monkeypatch.setattr(subgraphs, "_WORD_BUDGET", 1)
+    assert [cycle_census(g, 5) for g in graphs] == one_block
 
 
 def test_adversarial_graphs_run_clean():

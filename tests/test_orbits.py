@@ -239,6 +239,11 @@ def test_weighted_degree_size_cap():
         weighted_degree_of_balance(g, size_cap=1)
 
 
+def test_weighted_degree_refuses_empty_graph():
+    with pytest.raises(GraphError, match="no vertices"):
+        weighted_degree_of_balance(SignedDigraph(0, {}))
+
+
 def test_orbits_refuse_hashimoto_above_dense_cap(monkeypatch):
     monkeypatch.setattr(orbits, "DENSE_CAP", 5)
     with pytest.raises(GraphError, match="dense cap 5"):

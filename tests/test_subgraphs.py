@@ -1,14 +1,18 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from cyclebalance import subgraphs
 from cyclebalance.datasets import load_gahuku_gama
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.subgraphs import (connected_induced_subgraphs,
                                     connected_vertex_sets,
-                                    enumerate_connected_induced_subgraphs)
+                                    enumerate_connected_induced_subgraphs,
+                                    size_classes)
 from _util import random_signed_digraph
 
 
@@ -105,43 +109,93 @@ def _seeded_digraph(n, edge_prob, seed, loop_prob):
                                  loop_prob=loop_prob, vertices=n)
 
 
-# case -> (graph factory, max_size, visits, sha256 of the visit sequence),
-# pinned from the earlier list-based recursive enumerator: the documented
-# visit order must not change
-_GOLDEN_ORDER = {
+# case -> (graph factory, max_size, visits, sha256 of the sorted visits),
+# pinned from the depth-first bitset walk that the size classes replaced:
+# the visit order is free, the set of (vertex set, |N(H)|) pairs is not
+_GOLDEN_SETS = {
     "tribe-L16": (load_gahuku_gama, 16, 58501,
-                  "f68fdf200e0f45aa5c3e41787e12b427"
-                  "2c050982c4d746f72f57da907a5587f7"),
+                  "5ba9e1bfa4dd8505ccf4ab9a653171c2"
+                  "330ff2303922a69ece67e55e01aa8e60"),
     "digraph14-L7": (lambda: _seeded_digraph(14, 0.3, 2027, 0.1), 7, 8443,
-                     "8114831cb735223777e593eab9be7d8f"
-                     "2a939b13f5758b5fb35587fc694e8e74"),
+                     "78fd7788d39260acb0cdc815f07ffd2d"
+                     "1b0a51fc7e6984c90abe6d48969e315f"),
     "digraph160-L5": (lambda: _seeded_digraph(160, 0.012, 2027, 0.05), 5,
                       36883,
-                      "688a916a34cd976488d08073285550ad"
-                      "e5b77182305999fc580c13f57dc9df7b"),
+                      "f2858746467e26e1d1f918d310a9edbc"
+                      "0935cb1a1ae074f596ba024bb1b60f7e"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_GOLDEN_ORDER))
-def test_visit_order_is_pinned(case):
-    make_graph, max_size, visits, digest = _GOLDEN_ORDER[case]
+def _visit_digest(g, max_size):
+    visits = sorted((tuple(sorted(vertices)), neighbour_count)
+                    for vertices, neighbour_count
+                    in connected_vertex_sets(g, max_size))
     h = hashlib.sha256()
-    count = 0
-    for visit in connected_induced_subgraphs(make_graph(), max_size):
-        h.update(f"{visit.vertices}:{visit.neighbour_count};".encode())
-        count += 1
-    assert (count, h.hexdigest()) == (visits, digest)
+    for vertices, neighbour_count in visits:
+        h.update(f"{vertices}:{neighbour_count};".encode())
+    return len(visits), h.hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(_GOLDEN_ORDER))
+@pytest.mark.parametrize("case", sorted(_GOLDEN_SETS))
+def test_visit_multiset_is_pinned(case):
+    make_graph, max_size, visits, digest = _GOLDEN_SETS[case]
+    assert _visit_digest(make_graph(), max_size) == (visits, digest)
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_SETS))
 def test_each_visit_follows_its_parent(case):
-    # the cycle engine builds each subgraph's matrix from its parent's: the
-    # latest visit one vertex smaller must be H minus its last vertex
-    make_graph, max_size, _, _ = _GOLDEN_ORDER[case]
-    latest = {0: ()}
-    for vertices, _ in connected_vertex_sets(make_graph(), max_size):
-        assert vertices[:-1] == latest[len(vertices) - 1]
-        latest[len(vertices)] = vertices
+    # the cycle engine builds each subgraph's matrix from its parent's: row i
+    # of a class extends row parent[i] of the block's previous class
+    make_graph, max_size, _, _ = _GOLDEN_SETS[case]
+    up = np.zeros((1, 0), dtype=np.int32)  # class 0: the empty set
+    for parent, verts, nb in size_classes(make_graph(), max_size):
+        if verts.shape[1] == 1:
+            up = np.zeros((1, 0), dtype=np.int32)
+        assert verts.shape[1] == up.shape[1] + 1
+        assert (verts[:, :-1] == up[parent]).all()
+        assert len(parent) == len(verts) == len(nb)
+        up = verts
+
+
+def test_blocks_forced_by_the_smallest_word_budget(monkeypatch):
+    # one word a mask: each of the 160 roots is a block, most with a ball
+    # wider than the word
+    monkeypatch.setattr(subgraphs, "_WORD_BUDGET", 1)
+    make_graph, max_size, visits, digest = _GOLDEN_SETS["digraph160-L5"]
+    g = make_graph()
+    blocks = sum(cls.verts.shape[1] == 1
+                 for cls in size_classes(g, max_size))
+    assert blocks > 1
+    assert _visit_digest(g, max_size) == (visits, digest)
+
+
+# tracemalloc peak of enumerating the 20,000-vertex graph below at L=3: each
+# block's neighbour masks stay under 2 MB (subgraphs._WORD_BUDGET), where one
+# 20,000-bit mask per vertex took 39 MB
+_SPARSE_PEAK_BYTES = 12 * 2**20
+
+
+def _sparse_signed_graph(n, m, seed):
+    """Undirected graph of n vertices and m random edges, 70% positive."""
+    rng = random.Random(seed)
+    edges = {}
+    while len(edges) < 2 * m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (u, v) not in edges:
+            edges[(u, v)] = edges[(v, u)] = 1 if rng.random() < 0.7 else -1
+    return SignedDigraph(n, edges, from_undirected=True)
+
+
+def test_sparse_graph_memory_stays_bounded():
+    g = _sparse_signed_graph(20_000, 40_000, 1)
+    tracemalloc.start()
+    try:
+        count = enumerate_connected_induced_subgraphs(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 20_000
+    assert peak < _SPARSE_PEAK_BYTES, peak
 
 
 def _connected_sets_by_growth(g, max_size):
