@@ -16,45 +16,68 @@ The subgraph sum follows Giscard, Kriege & Wilson, "A general purpose
 algorithm for counting simple cycles and simple paths of any length"
 (Algorithmica 2019).
 
-Exactness.  Subgraphs of one size h are processed in batches.  Let r be the
-largest row sum of |A_H| over a batch.  The row sums of |A_H|^k are at most
+Exactness.  Subgraphs of one size h are processed in slices.  Let r be the
+largest row sum of |A_H| over a slice.  The row sums of |A_H|^k are at most
 r^k, so |(A_H^k)_ij| <= (|A_H|^k)_ij <= r^k and |Tr A_H^l| <= h r^l.  Every
-partial sum formed while multiplying A_H^(k-1) by A_H, or while summing a
-trace, adds a subset of the terms of the matching entry or trace of |A_H|,
-so its magnitude is bounded by the unsigned value, whatever the order of
+partial sum formed while multiplying by A_H, or while summing a trace,
+adds a subset of the terms of the matching entry or trace of |A_H|, so its
+magnitude is bounded by the unsigned value, whatever the order of
 summation; a sum of the traces of k subgraphs is bounded by k h r^l.  All
 values are integers, so float64 arithmetic is exact while the bound is
 below 2^53, int64 arithmetic while it is below 2^62, and object (Python
 int) arithmetic always.  Each array is computed in the cheapest of these
-that its bound allows.  A float64 array is widened to int64 before object,
-so an object array never holds floats.
+that its bound allows, and is only ever cast up that ladder: a float64
+array is widened to int64 before object, so an object array never holds
+floats.
 
-Half powers.  With m = ceil(hi/2) for the largest degree hi a batch needs,
-only A_H^1..A_H^m are formed by matrix products.  For l > m the identity
-Tr A^l = Tr(A^m A^(l-m)) = sum_ij (A^m)_ij (A^(l-m))_ji gives the trace by
-an O(h^2) elementwise product instead of an O(h^3) matrix product; its
-terms are bounded as above by Tr |A_H|^l <= h r^l.
+Traces along the ESU tree.  Each subgraph H is its parent P, H without its
+last vertex w, plus w: A_H = [[A_P, c], [u, a]].  Its traces are the
+parent's plus the closed walks through w,
 
-One routine, ``_power_traces``, takes these exact traces for any stack of
-integer matrices, with r the largest row sum of |A| over the stack.  Besides
-the subgraph batches it serves ``orbits``: the signed and unsigned
-Hashimoto matrices (T, |T|) of the primitive-orbit census and the loopless
-adjacencies (A, |A|) of the closed-walk census, at any length.
+    Tr A_H^l = Tr A_P^l + D_l,    D_l = l g_l + sum_{m=1}^{l-1} g_m D_{l-m},
 
-Assembly and acyclicity filter.  ``subgraphs.size_classes`` hands over
-the subgraphs one size class at a time, block by block: per subgraph the
-index of its parent (itself minus its last vertex) in the block's previous
-class, its vertex row and |N(H)|.  So a class is built in vectorised slices
-from its parents' stacked int8 matrices: only the new vertex's row and
-column are looked up, 2h-1 arc searches in place of h^2.  The buckets are
-exact integers, so neither block nor class order changes a count.  A
-subgraph without a directed cycle has a nilpotent matrix and is skipped.
-One holding a cyclic parent holds its cycle; the others are stripped of
-sinks (on undirected networks only singletons and pairs: edges are 2-cycles).
+with g_1 = a and g_m = u A_P^(m-2) c, the signed walks that leave w and
+first return to it after m steps.  This follows from det(I - z A_H) =
+det(I - z A_P) (1 - sum_m g_m z^m), a Schur complement, and from
+sum_l Tr A^l z^l = -z d/dz log det(I - z A).  The g_m come from chains of
+half length, x_b = A_P^b c and y_a = u A_P^a, as g_(a+b+2) = y_a x_b; on a
+symmetric graph y_a = x_a.  So a subgraph costs ceil((L-2)/2) matrix-vector
+products per chain and an O(L^2) recursion, vectorised over the slice.
+Bound: the entries of x_b and y_a, g_m, and every term and partial sum of
+the recursion at degree l are sub-sums of the matching unsigned walk
+counts, and those of D_l sum to Tr |A_H|^l - Tr |A_P|^l <= h r^l, so the
+ladder above applies degree by degree.
+
+Slices and sums.  ``subgraphs.size_classes`` hands over the subgraphs one
+size class at a time, block by block: per subgraph the index of its
+parent in the block's previous class, its vertex row and |N(H)|.  A class
+is built in slices from its parents' stacked int8 matrices: only the new
+vertex's row and column are looked up, 2h-1 arc searches in place of h^2.
+A subgraph without a directed cycle has a nilpotent matrix, so all its
+traces are 0 and it skips the recursion.  One holding a cyclic parent
+holds its cycle; the others are stripped of sinks (on undirected networks
+only singletons and pairs: edges are 2-cycles).  A class keeps the traces
+its children extend, degrees h+1..L.  Its traces at degrees h..L are
+summed per (h, |N(H)|) as exact integers across slices and blocks, and the
+binomials, which vanish beyond degree h + |N(H)|, are applied once at the
+end, so neither block nor class order changes a count.
+
+``_power_traces`` takes exact traces of the powers of any stack of integer
+matrices, with r the largest row sum of |A| over the stack: A^1..A^m, m =
+ceil(hi/2), are multiplied out, and Tr A^l = sum_ij (A^m)_ij (A^(l-m))_ji
+gives the longer traces by an O(h^2) elementwise product, its terms
+bounded as above by Tr |A|^l <= h r^l.  It serves ``orbits``: the signed
+and unsigned Hashimoto matrices (T, |T|) of the primitive-orbit census and
+the loopless adjacencies (A, |A|) of the closed-walk census, at any length.
+
+Each evaluation logs one DEBUG record per subgraph size on the
+``cyclebalance.engine`` logger: subgraphs, cyclic subgraphs, slices and the
+widest trace dtype.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,8 +103,12 @@ __all__ = [
 # integers and partial sums below these magnitudes are exact in the dtype
 _FLOAT64_EXACT = 2**53
 _INT64_EXACT = 2**62
-# bytes of the stored powers of one batch of same-size subgraphs
+# exact dtypes, narrowest first: an array is only ever cast up this ladder
+_LADDER = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(object))
+# bytes of the temporaries of one slice of a size class
 _CHUNK_BYTES = 1 << 21
+
+_log = logging.getLogger(__name__)
 
 
 class CycleEngineError(RuntimeError):
@@ -185,6 +212,11 @@ def _exact_dtype(bound: int) -> np.dtype:
     return np.dtype(object)
 
 
+def _wider(*dtypes: np.dtype) -> np.dtype:
+    """The latest of some exact dtypes on the ladder float64, int64, object."""
+    return max(dtypes, key=_LADDER.index)
+
+
 def _widen(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """Cast an integer-valued array to an exact dtype at least as wide.
 
@@ -239,36 +271,58 @@ def _power_traces(mats: np.ndarray, lo: int, hi: int):
                             _widen(powers[ell - half], dtype)), bound
 
 
-def _add_batch(buckets, sub: np.ndarray, nb: np.ndarray, max_length: int,
-               signed: bool, unsigned: bool) -> None:
-    """Add the contributions of a batch of same-size subgraphs.
+def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
+                 symmetric: bool) -> np.ndarray:
+    """Tr A_H^l for l = h..max_length over a stack (k, h, h) of integer
+    matrices A_H, from the traces ``up`` (max_length - h + 1, k) of their
+    leading blocks A_P, without the last row and column, at those degrees.
 
-    ``sub`` stacks their signed adjacency matrices (k, h, h); ``nb`` holds
-    their neighbour counts in ascending order.
+    Each parent's traces are extended by the closed walks through the last
+    vertex (module docstring), every value in the dtype its bound h r^l
+    allows; r is at least the largest row sum of |A_H| over the stack.
+    The result is shaped like ``up``.  ``symmetric`` says every A_H is.
     """
-    h = sub.shape[1]
-    mats = np.stack([sub] * signed + [np.abs(sub)] * unsigned, axis=1)
-    hi = min(max_length, h + int(nb[-1]))
-    # runs of equal neighbour count share one binomial coefficient per degree
-    starts = np.flatnonzero(np.diff(nb, prepend=-1))
-    for ell, (tr, bound) in enumerate(_power_traces(mats, h, hi), start=h):
-        sums = np.add.reduceat(_widen(tr, _exact_dtype(len(nb) * bound)),
-                               starts, axis=0)
-        for n, row in zip(nb[starts].tolist(), sums):
-            # C(n, ell - h) vanishes for degrees beyond h + n
-            coeff = (-1) ** (ell - h) * math.comb(n, ell - h)
-            if coeff:
-                for w, t in enumerate(row):
-                    buckets[w][ell] += coeff * int(t)
+    h = mats.shape[1]
+    # the stack runs along the last axis, so each product loops over it
+    mats = np.moveaxis(mats, 0, -1).astype(_exact_dtype(h * r), order="C")
+    a_p = mats[:-1, :-1]
+    # x_b = A_P^b c and y_a = u A_P^a: their entries count walks of b + 1
+    # and a + 1 steps into and out of the new vertex
+    xs, ys = [mats[:-1, -1]], [mats[-1, :-1]]
+    for b in range(1, (max_length - 1) // 2 + 1):
+        dtype = _exact_dtype(h * r**(b + 1))
+        a_p = _widen(a_p, dtype)
+        xs.append(np.einsum("ijk,jk->ik", a_p, _widen(xs[-1], dtype)))
+        if not symmetric and b <= (max_length - 2) // 2:
+            ys.append(np.einsum("jk,jik->ik", _widen(ys[-1], dtype), a_p))
+    if symmetric:  # then y_a = x_a
+        ys = xs
+    # g_m: first-return walks at the new vertex; d_l: closed walks through it
+    g = np.zeros((max_length + 1, mats.shape[2]))
+    d = np.zeros_like(g)
+    g[1] = mats[-1, -1]
+    for ell in range(1, max_length + 1):
+        dtype = _exact_dtype(h * r**ell)
+        g, d = _widen(g, dtype), _widen(d, dtype)
+        if ell >= 2:
+            a = (ell - 2) // 2
+            g[ell] = np.einsum("ik,ik->k", _widen(ys[a], dtype),
+                               _widen(xs[ell - 2 - a], dtype))
+        # d_0 = l makes the sum's last term l g_l
+        d[0] = ell
+        d[ell] = np.einsum("mk,mk->k", g[1:ell + 1], d[ell - 1::-1])
+    dtype = _wider(up.dtype, d.dtype)
+    return _widen(up, dtype) + _widen(d[h:], dtype)
 
 
 def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
                  unsigned: bool = True) -> list[TruncatedSeries]:
     """Evaluate the generating function; returns the requested weightings.
 
-    One enumeration serves both weightings.  Size classes are assembled and
-    filtered in turn (module docstring), sorted by neighbour count and
-    batched into stacked matrix products in the dtypes their bounds allow.
+    One enumeration serves both weightings.  Size classes are assembled,
+    filtered and traced from their parents in slices (module docstring);
+    trace sums per (size, |N(H)|) are exact integers across blocks, and the
+    binomials are applied once at the end.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
@@ -280,14 +334,33 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
     # the sentinel n*n, above every vertex pair, keeps each search in range
     keys = np.array([u * n + v for (u, v), _ in arcs] + [n * n], np.int64)
     signs = np.array([s for _, s in arcs] + [0], dtype=np.int8)
-    buckets = [[0] * (max_length + 1) for _ in range(n_out)]
+    # every arc has a reverse arc of the same sign: each A_H is symmetric
+    rev = keys[:-1] % n * n + keys[:-1] // n if n else keys[:0]
+    pos = np.searchsorted(keys, rev)
+    symmetric = bool(((keys[pos] == rev) & (signs[pos] == signs[:-1])).all())
+    # sums[h][l - h, w, |N(H)|]: exact sums of Tr A_H^l per weighting w
+    sums = [np.zeros((max_length - h + 1, n_out, 0), dtype=object)
+            for h in range(max_length + 1)]
+    # per size: subgraphs, cyclic subgraphs, slices, widest trace dtype
+    tally = [[0, 0, 0, -1] for _ in range(max_length + 1)]
     for parent, verts, nb in size_classes(g, max_length):
         k, h = verts.shape
         if h == 1:  # a new block; class 0 is the empty set
             mats, cyclic = np.zeros((1, 0, 0), np.int8), np.zeros(1, bool)
+            traces = np.zeros((max_length, n_out, 1))
+        # a class keeps the traces its children extend, degrees h+1..L
         up_mats, mats = mats, np.zeros((k, h, h), np.int8)
+        up_traces, traces = traces, np.zeros((max_length - h, n_out, k))
         cyclic = cyclic[parent]  # a parent's cycle lies in the subgraph
-        step = max(1, _CHUNK_BYTES // (8 * h))  # bounds lookup temporaries
+        # bounds the lookup temporaries and the walk chains of one slice
+        step = max(1, _CHUNK_BYTES // (8 * n_out * (h + 2) * (h + max_length)))
+        grow = int(nb.max()) + 1 - sums[h].shape[2]
+        if grow > 0:
+            sums[h] = np.concatenate([sums[h], np.zeros(
+                sums[h].shape[:2] + (grow,), dtype=object)], axis=2)
+        stats = tally[h]
+        stats[0] += k
+        stats[2] += -(-k // step)
         for start in range(0, k, step):
             p, rows, sub, cyc = (a[start:start + step] for a in
                                  (parent, verts, mats, cyclic))
@@ -299,14 +372,47 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
             pos = np.searchsorted(keys, pair)
             found = np.where(keys[pos] == pair, signs[pos], 0)
             sub[:, -1], sub[:, :-1, -1] = found[:, :h], found[:, h:]
-            cyc[~cyc] = _has_cycle(sub[~cyc])
-        kept = np.flatnonzero(cyclic)[np.argsort(nb[cyclic], kind="stable")]
-        nb = nb[kept]
-        half = (min(max_length, h + int(nb.max(initial=0))) + 1) // 2
-        step = max(1, _CHUNK_BYTES // (8 * n_out * h * h * (half + 2)))
-        for start in range(0, len(nb), step):
-            _add_batch(buckets, mats[kept[start:start + step]],
-                       nb[start:start + step], max_length, signed, unsigned)
+            todo = np.flatnonzero(~cyc)
+            if len(todo):
+                cyc[todo] = _has_cycle(sub[todo])
+            # an acyclic subgraph has a nilpotent matrix: its traces stay 0
+            live = np.flatnonzero(cyc)
+            if not len(live):
+                continue
+            live = live[np.argsort(nb[start + live], kind="stable")]
+            live_sub = sub[live]
+            absolute = np.abs(live_sub)
+            # einsum sums short int8 rows about twice as fast as ndarray.sum
+            r = int(np.einsum("kij->ki", absolute, dtype=np.int64).max())
+            t = _walk_traces(
+                np.concatenate([live_sub] * signed + [absolute] * unsigned), r,
+                up_traces[:, :, p[live]].reshape(max_length - h + 1, -1),
+                max_length, symmetric).reshape(max_length - h + 1, n_out, -1)
+            traces = _widen(traces, _wider(traces.dtype, t.dtype))
+            traces[:, :, start + live] = _widen(t[1:], traces.dtype)
+            # runs of equal neighbour count share their binomials
+            counts = nb[start + live]
+            runs = np.flatnonzero(np.diff(counts, prepend=-1))
+            bound = len(live) * h * r**max_length
+            sums[h][:, :, counts[runs]] += _widen(np.add.reduceat(
+                _widen(t, _wider(t.dtype, _exact_dtype(bound))), runs, axis=2),
+                np.dtype(object))
+            stats[1] += len(live)
+            stats[3] = max(stats[3], _LADDER.index(t.dtype))
+    if _log.isEnabledFor(logging.DEBUG):
+        for h, (k, live, slices, widest) in enumerate(tally):
+            if k:
+                _log.debug("size %d: %d subgraphs, %d cyclic, %d slices, "
+                           "widest trace dtype %s", h, k, live, slices,
+                           _LADDER[widest] if widest >= 0 else "none")
+    buckets = [[0] * (max_length + 1) for _ in range(n_out)]
+    for h, by_count in enumerate(sums):
+        for count in range(by_count.shape[2]):
+            # C(|N(H)|, l - h) vanishes for degrees beyond h + |N(H)|
+            for j in range(min(count, max_length - h) + 1):
+                coeff = (-1) ** j * math.comb(count, j)
+                for w in range(n_out):
+                    buckets[w][h + j] += coeff * by_count[j, w, count]
     return _finish(buckets, max_length)
 
 

@@ -22,3 +22,31 @@ def random_signed_digraph(rng: random.Random, max_vertices: int = 9,
             elif rng.random() < edge_prob:
                 edges[(u, v)] = rng.choice((1, -1))
     return SignedDigraph(n, edges, from_undirected=undirected)
+
+
+def clustered_graph(structure_seed: int, sign_seed: int, clusters: int = 10,
+                    size: int = 20, p_in: float = 0.20, p_neg: float = 0.3
+                    ) -> SignedDigraph:
+    """Undirected clusters joined in a ring by positive ties.
+
+    ``structure_seed`` draws the ties as acceptance criterion 8 does (42
+    gives its graph); ``sign_seed`` makes each in-cluster tie negative with
+    probability ``p_neg``.
+    """
+    rng = random.Random(structure_seed)
+    ties = []
+    for c in range(clusters):
+        base = c * size
+        for i in range(size):
+            for j in range(i + 1, size):
+                if rng.random() < p_in:
+                    rng.random()  # the criterion's sign draw, unused here
+                    ties.append((base + i, base + j))
+    signs = random.Random(sign_seed)
+    edges = {}
+    for u, v in ties:
+        edges[(u, v)] = edges[(v, u)] = -1 if signs.random() < p_neg else 1
+    for c in range(clusters):
+        u, v = c * size, ((c + 1) % clusters) * size + 1
+        edges[(u, v)] = edges[(v, u)] = 1
+    return SignedDigraph(clusters * size, edges, from_undirected=True)

@@ -5,6 +5,8 @@ from pathlib import Path
 import hypothesis
 import pytest
 
+from cyclebalance import engine
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 hypothesis.settings.register_profile(
@@ -15,3 +17,18 @@ hypothesis.settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def widened(monkeypatch):
+    """Dtypes of every array the engine's exact trace routines widen."""
+    seen = set()
+    widen = engine._widen
+
+    def spy(a, dtype):
+        out = widen(a, dtype)
+        seen.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(engine, "_widen", spy)
+    return seen

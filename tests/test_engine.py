@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -11,10 +12,11 @@ from cyclebalance.engine import (CycleEngineError, _exact_dtype, _has_cycle,
                                  balance_table, cycle_census,
                                  cycle_polynomial, exact_low_order_ratios)
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
+from cyclebalance.montecarlo import sample_connected_vertex_set
 from cyclebalance.oracle import brute_force_census, complete_graph_census
 from cyclebalance.series import TruncatedSeries
 from cyclebalance.subgraphs import connected_induced_subgraphs
-from _util import random_signed_digraph
+from _util import clustered_graph, random_signed_digraph
 
 TRIAD = parse_edge_list("0 1 1\n0 2 1\n1 2 -1", undirected=True)
 
@@ -238,14 +240,98 @@ def test_exact_dtype_tiers():
     assert _exact_dtype(2**62) == object
 
 
-def test_negative_k16_reaches_object_traces():
-    # traces of the classes h >= 14 exceed 2^62 at L=16 and are summed in
-    # object dtype from float64 powers; every count is signed by parity
+def test_negative_k16_reaches_object_traces(widened):
+    # at L=16 the trace bounds h r^l of the classes h >= 14 exceed 2^62, so
+    # their walk recurrences end in object dtype; every count is signed by
+    # parity
     c = cycle_census(complete_graph(16, sign=-1), 16)
     cf = complete_graph_census(16)
     for ell in range(2, 17):
         want = (0, cf[ell]) if ell % 2 else (cf[ell], 0)
         assert (c.n_pos(ell), c.n_neg(ell)) == want
+    assert widened == {np.dtype(np.float64), np.dtype(np.int64),
+                       np.dtype(object)}
+
+
+def _trace_powers(a, top):
+    """Tr a^l for l = 1..top in Python ints."""
+    a = np.asarray(a, dtype=object)
+    power, out = np.identity(len(a), dtype=object), []
+    for _ in range(top):
+        power = power @ a
+        out.append(int(power.trace()))
+    return out
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_walk_recurrence_adds_closed_walks_through_last_vertex(symmetric):
+    # D_l = Tr A_H^l - Tr A_P^l, P = H without its last vertex, against
+    # Python-int powers of random matrices with loops; all-ones and
+    # all-minus-ones matrices reach their bounds, which at h = 8 and L = 20
+    # take int64 and object degrees
+    rng = np.random.default_rng(3)
+    L = 20
+    for h in range(1, 9):
+        mats = rng.integers(-1, 2, (25, h, h)).astype(np.int8)
+        if symmetric:
+            mats = np.triu(mats) + np.triu(mats, 1).transpose(0, 2, 1)
+        mats[:2], mats[2:4] = 1, -1
+        r = int(np.abs(mats).sum(axis=2).max())
+        full = [_trace_powers(a, L)[h - 1:] for a in mats]
+        part = [_trace_powers(a[:-1, :-1], L)[h - 1:] for a in mats]
+        d = engine._walk_traces(mats, r, np.zeros((L - h + 1, len(mats))), L,
+                                symmetric)
+        t = engine._walk_traces(mats, r, np.array(part, dtype=object).T, L,
+                                symmetric)
+        for i in range(len(mats)):
+            assert [int(x) for x in d[:, i]] == \
+                [u - v for u, v in zip(full[i], part[i])], (h, i)
+            assert [int(x) for x in t[:, i]] == full[i], (h, i)
+
+
+def test_recurrence_dtype_tiers_match_oracle(monkeypatch, widened, rng):
+    # low exactness limits push the recurrence, and the sums across
+    # subgraphs, through int64 and object steps
+    monkeypatch.setattr(engine, "_FLOAT64_EXACT", 2**7)
+    monkeypatch.setattr(engine, "_INT64_EXACT", 2**11)
+    for undirected in [False] * 25 + [True] * 15:
+        g = random_signed_digraph(rng, max_vertices=9, edge_prob=0.35,
+                                  loop_prob=0.15, undirected=undirected)
+        L = rng.randint(1, g.vertex_count + 2)
+        assert cycle_census(g, L) == brute_force_census(g, L)
+    assert widened == {np.dtype(np.float64), np.dtype(np.int64),
+                       np.dtype(object)}
+
+
+@pytest.mark.parametrize("size, longest", [(20, 17), (22, 18)])
+def test_engine_equals_oracle_at_l20_on_samples(size, longest):
+    # snowball samples of criterion 8's clustered graph, the first lengths
+    # past 16 that any test reaches
+    g = clustered_graph(42, 7)
+    vertices, _ = sample_connected_vertex_set(
+        g, np.random.default_rng([5, 0]), size)
+    sample, _ = g.induced_subgraph(vertices)
+    census = cycle_census(sample, 20)
+    assert census == brute_force_census(sample, 20)
+    assert max(ell for ell in range(1, 21) if census.total(ell)) == longest
+
+
+def test_debug_records_per_size(caplog):
+    g = parse_edge_list("0 1 1\n1 2 1\n2 0 -1\n2 3 1\n3 3 -1")
+    cycle_census(g, 4)
+    assert not caplog.records  # silent at the default level
+    with caplog.at_level(logging.DEBUG, logger="cyclebalance.engine"):
+        cycle_census(g, 4)
+        cycle_census(TRIAD, 3)
+    assert [r.getMessage() for r in caplog.records] == [
+        "size 1: 4 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "size 2: 4 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "size 3: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
+        "size 4: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "size 1: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
+        "size 2: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
+        "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+    ]
 
 
 def test_census_validation():

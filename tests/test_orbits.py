@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclebalance import engine, orbits
+from cyclebalance import orbits
 from cyclebalance.engine import balance_table, cycle_census
 from cyclebalance.graph import (GraphError, SignedDigraph, complete_graph,
                                 parse_edge_list)
@@ -106,21 +106,6 @@ def test_orbit_trace_round_trip(rng):
                         if l % k == 0 and l // k >= 3)
             assert Fraction(int(power.trace()), l) == recon, l
             power = power @ tu
-
-
-@pytest.fixture
-def widened(monkeypatch):
-    """Dtypes of every array the exact power-trace routine widens."""
-    seen = set()
-    widen = engine._widen
-
-    def spy(a, dtype):
-        out = widen(a, dtype)
-        seen.add(out.dtype)
-        return out
-
-    monkeypatch.setattr(engine, "_widen", spy)
-    return seen
 
 
 def test_walk_ratios_negative_k20_all_dtypes(widened):
