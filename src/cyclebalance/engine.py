@@ -50,9 +50,20 @@ ladder above applies degree by degree.
 
 Slices and sums.  ``subgraphs.size_classes`` hands over the subgraphs one
 size class at a time, block by block: per subgraph the index of its
-parent in the block's previous class, its vertex row and |N(H)|.  A class
+parent in the block's previous class, its vertex row and |N(H)|, and per
+block its inner vertices, the only ones its subgraphs can take.  A class
 is built in slices from its parents' stacked int8 matrices: only the new
-vertex's row and column are looked up, 2h-1 arc searches in place of h^2.
+vertex's row and column are new, 2h-1 gathers from a dense int8 sign
+table T[rank(u), rank(v)] = sign(u -> v) over the block's inner vertices,
+ranked in ascending id.  One table buffer serves every block: a block
+sets the entries of its arcs among its inner vertices, from out-arc lists
+built once per census, and they are cleared before the next block, so a
+block costs O(those arcs), as its neighbour masks do in ``subgraphs``.
+The table takes |inner|^2 bytes for the largest block, never one byte per
+pair of the graph's vertices: at most 16 MB for a block of several roots,
+whose inner vertices lie in a universe of at most 64 * _WORD_BUDGET = 4096
+vertices, and for a single-root block at most 8 times that block's own
+neighbour masks (|inner| rows of at least |inner| / 64 words).
 A subgraph without a directed cycle has a nilpotent matrix, so all its
 traces are 0 and it skips the recursion.  One holding a cyclic parent
 holds its cycle; the others are stripped of sinks (on undirected networks
@@ -72,7 +83,8 @@ the loopless adjacencies (A, |A|) of the closed-walk census, at any length.
 
 Each evaluation logs one DEBUG record per subgraph size on the
 ``cyclebalance.engine`` logger: subgraphs, cyclic subgraphs, slices and the
-widest trace dtype.
+widest trace dtype; and then one with the block count and the largest sign
+table in bytes.
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ import numpy as np
 
 from .graph import SignedDigraph
 from .series import TruncatedSeries
-from .subgraphs import size_classes
+from .subgraphs import _ranges, size_classes
 
 __all__ = [
     "CycleEngineError",
@@ -319,10 +331,10 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
                  unsigned: bool = True) -> list[TruncatedSeries]:
     """Evaluate the generating function; returns the requested weightings.
 
-    One enumeration serves both weightings.  Size classes are assembled,
-    filtered and traced from their parents in slices (module docstring);
-    trace sums per (size, |N(H)|) are exact integers across blocks, and the
-    binomials are applied once at the end.
+    One enumeration serves both weightings.  Size classes are assembled
+    from their parents and a block-local sign table, filtered and traced in
+    slices (module docstring); trace sums per (size, |N(H)|) are exact
+    integers across blocks, and the binomials are applied once at the end.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
@@ -331,23 +343,49 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
         raise ValueError("request at least one weighting")
     n = g.vertex_count
     arcs = sorted(g.edges.items())
-    # the sentinel n*n, above every vertex pair, keeps each search in range
-    keys = np.array([u * n + v for (u, v), _ in arcs] + [n * n], np.int64)
-    signs = np.array([s for _, s in arcs] + [0], dtype=np.int8)
-    # every arc has a reverse arc of the same sign: each A_H is symmetric
-    rev = keys[:-1] % n * n + keys[:-1] // n if n else keys[:0]
-    pos = np.searchsorted(keys, rev)
-    symmetric = bool(((keys[pos] == rev) & (signs[pos] == signs[:-1])).all())
+    tails, heads = np.array([uv for uv, _ in arcs], np.int64).reshape(-1, 2).T
+    signs = np.array([s for _, s in arcs], dtype=np.int8)
+    # each A_H is symmetric iff every arc has a reverse arc of the same sign,
+    # that is iff sorting the arcs by (head, tail) puts at each position
+    # the reverse of the arc there in (tail, head) order, with its sign
+    back = np.lexsort((tails, heads))
+    symmetric = bool((tails[back] == heads).all()
+                     and (heads[back] == tails).all()
+                     and (signs[back] == signs).all())
+    # out-arcs of vertex u: heads and signs [out[u], out[u + 1])
+    out = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=out[1:])
+    # table[rank[u] * m + rank[v]] = sign(u -> v) over the m inner vertices
+    # of the current block; ``held`` lists the entries set, to clear before
+    # the next block
+    rank = np.full(n, -1, dtype=np.int64)
+    table = np.zeros(0, dtype=np.int8)
+    held = inner = tails[:0]
+    blocks = 0
     # sums[h][l - h, w, |N(H)|]: exact sums of Tr A_H^l per weighting w
     sums = [np.zeros((max_length - h + 1, n_out, 0), dtype=object)
             for h in range(max_length + 1)]
     # per size: subgraphs, cyclic subgraphs, slices, widest trace dtype
     tally = [[0, 0, 0, -1] for _ in range(max_length + 1)]
-    for parent, verts, nb in size_classes(g, max_length):
+    for parent, verts, nb, block in size_classes(g, max_length):
         k, h = verts.shape
         if h == 1:  # a new block; class 0 is the empty set
             mats, cyclic = np.zeros((1, 0, 0), np.int8), np.zeros(1, bool)
             traces = np.zeros((max_length, n_out, 1))
+            table[held] = 0
+            rank[inner] = -1
+            inner, m = block, len(block)
+            rank[inner] = np.arange(m)
+            if m * m > len(table):
+                table = np.zeros(m * m, dtype=np.int8)
+            # the out-arcs of the inner vertices that end at inner vertices
+            lo, hi = out[inner], out[inner + 1]
+            arc = _ranges(lo, hi)
+            col = rank[heads[arc]]
+            keep = col >= 0
+            held = (np.repeat(np.arange(m) * m, hi - lo) + col)[keep]
+            table[held] = signs[arc[keep]]
+            blocks += 1
         # a class keeps the traces its children extend, degrees h+1..L
         up_mats, mats = mats, np.zeros((k, h, h), np.int8)
         up_traces, traces = traces, np.zeros((max_length - h, n_out, k))
@@ -364,14 +402,12 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
         for start in range(0, k, step):
             p, rows, sub, cyc = (a[start:start + step] for a in
                                  (parent, verts, mats, cyclic))
-            rows = rows.astype(np.int64)
-            v, old = rows[:, -1:], rows[:, :-1]
+            rows = rank[rows]
+            v = rows[:, -1:]
             sub[:, :-1, :-1] = up_mats[p]
             # the new vertex's out-arcs, then its in-arcs from the others
-            pair = np.hstack([v * n + rows, v + n * old])
-            pos = np.searchsorted(keys, pair)
-            found = np.where(keys[pos] == pair, signs[pos], 0)
-            sub[:, -1], sub[:, :-1, -1] = found[:, :h], found[:, h:]
+            sub[:, -1] = table.take(v * m + rows)
+            sub[:, :-1, -1] = table.take(rows[:, :-1] * m + v)
             todo = np.flatnonzero(~cyc)
             if len(todo):
                 cyc[todo] = _has_cycle(sub[todo])
@@ -405,6 +441,8 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
                 _log.debug("size %d: %d subgraphs, %d cyclic, %d slices, "
                            "widest trace dtype %s", h, k, live, slices,
                            _LADDER[widest] if widest >= 0 else "none")
+        _log.debug("%d blocks, largest sign table %d bytes", blocks,
+                   table.nbytes)
     buckets = [[0] * (max_length + 1) for _ in range(n_out)]
     for h, by_count in enumerate(sums):
         for count in range(by_count.shape[2]):

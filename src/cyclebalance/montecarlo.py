@@ -187,8 +187,11 @@ def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
 
     The estimate per length is the mean of defined batch ratios; the reported
     uncertainty is twice the standard deviation of batch means over
-    sqrt(#batches used).
+    sqrt(#batches used).  ``workers`` processes draw the samples; 1 draws
+    them in this process.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
     L = cfg.max_length
     tasks = [(cfg.master_seed, round_index, b, s, cfg.sample_size, L)

@@ -11,7 +11,9 @@ h + 1 are built at once, in numpy, from those of size h.  A ``SizeClass``
 holds, per subgraph H, ``parent`` (the index in the previous class of H
 without its last vertex; 0 for singletons, whose parent is the empty set),
 ``verts`` (H in the order its vertices were added, root first) and ``nb``,
-|N(H)|: the vertices outside H with an edge, either direction, into H.
+|N(H)|: the vertices outside H with an edge, either direction, into H.  It
+also holds ``inner``, the ascending ids of every vertex a subgraph of its
+block can take (below); all classes of a block share that one array.
 While it grows a class, the enumerator keeps two vertex masks per
 subgraph, ``seen`` = H | N(H) and ``ext``, the extension candidates.  The
 children of H are H + w for the set bits w of ``ext`` in ascending order:
@@ -27,7 +29,8 @@ vertices within max_size hops of its roots, which hold H | N(H) for every
 subgraph grown from them.  The universe is relabelled in ascending id, so
 "ids above the root" keeps its meaning, and W = ceil(|universe| / 64).
 Only its inner vertices, those within max_size - 1 hops, can join a
-subgraph, so only they get a neighbour mask.  A block's universe must fit
+subgraph, so only they get a neighbour mask, and its classes hand them on
+as ``inner``.  A block's universe must fit
 ``_WORD_BUDGET`` words: each block tries the previous block's root count,
 scaled by how far that block's universe fell short of the budget, and
 halves it until the universe fits.  A single root whose ball is larger
@@ -93,6 +96,7 @@ class SizeClass(NamedTuple):
     parent: np.ndarray  # (k,) int64: index into the block's class h - 1
     verts: np.ndarray   # (k, h) int32: vertex ids in the order added
     nb: np.ndarray      # (k,) int64: |N(H)|
+    inner: np.ndarray   # (m,) int64: the block's inner vertices, ascending
 
 
 def size_classes(g: SignedDigraph, max_size: int) -> Iterator[SizeClass]:
@@ -223,7 +227,7 @@ def _grow(indptr, indices, local, roots, universe, inner, max_size: int
     ext = seen & _above(r, words)
     seen[np.arange(len(r)), r >> 6] |= _bit(r)
     parent = np.zeros(len(r), dtype=np.int64)
-    yield SizeClass(parent, verts if ids is None else ids[verts], nb)
+    yield SizeClass(parent, verts if ids is None else ids[verts], nb, inner)
     for h in range(2, max_size + 1):
         parent, w = _set_bits(ext)
         if not len(parent):
@@ -242,7 +246,8 @@ def _grow(indptr, indices, local, roots, universe, inner, max_size: int
         else:  # nothing grows from the last class
             seen = ext = None
         del up_seen
-        yield SizeClass(parent, verts if ids is None else ids[verts], nb)
+        yield SizeClass(parent, verts if ids is None else ids[verts], nb,
+                        inner)
 
 
 def connected_vertex_sets(g: SignedDigraph, max_size: int

@@ -81,6 +81,18 @@ def test_max_length_below_one_is_usage_error(cmd, length, triad_file, capsys):
     assert "usage error: max_length must be >= 1" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_montecarlo_workers_below_one_is_usage_error(workers, triad_file,
+                                                     capsys):
+    code, out, err = run(capsys, "montecarlo", "--input", str(triad_file),
+                         "--max-length", "3", "--samples", "2",
+                         "--batches", "2", "--sample-size", "3",
+                         "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert "usage error: workers must be >= 1" in err
+
+
 def test_null_and_shufflenull(triad_file, capsys):
     code, out, _ = run(capsys, "null", "--input", str(triad_file),
                        "--max-length", "3", "--format", "csv")

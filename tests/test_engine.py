@@ -131,9 +131,18 @@ def test_censuses_equal_across_root_blocks(monkeypatch):
               for n, p, undirected in [(70, 0.03, False), (100, 0.02, True),
                                        (150, 0.015, False),
                                        (130, 0.015, True)]]
+    # loops, and arcs whose reverse arc has the opposite sign: every block
+    # fills the engine's sign table with its own arcs and clears them after
+    mixed = dict(graphs[0].edges)
+    for (u, v), s in graphs[0].edges.items():
+        if u != v and rng.random() < 0.5:
+            mixed[(v, u)] = -s
+    graphs.append(SignedDigraph(70, mixed))
     one_block = [cycle_census(g, 5) for g in graphs]
     monkeypatch.setattr(subgraphs, "_WORD_BUDGET", 1)
-    assert [cycle_census(g, 5) for g in graphs] == one_block
+    blocks = [cycle_census(g, 5) for g in graphs]
+    assert blocks == one_block
+    assert blocks[-1] == brute_force_census(graphs[-1], 5)
 
 
 def test_adversarial_graphs_run_clean():
@@ -316,7 +325,7 @@ def test_engine_equals_oracle_at_l20_on_samples(size, longest):
     assert max(ell for ell in range(1, 21) if census.total(ell)) == longest
 
 
-def test_debug_records_per_size(caplog):
+def test_debug_records_per_size(caplog, monkeypatch):
     g = parse_edge_list("0 1 1\n1 2 1\n2 0 -1\n2 3 1\n3 3 -1")
     cycle_census(g, 4)
     assert not caplog.records  # silent at the default level
@@ -328,10 +337,23 @@ def test_debug_records_per_size(caplog):
         "size 2: 4 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
         "size 3: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
         "size 4: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "1 blocks, largest sign table 16 bytes",
         "size 1: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
         "size 2: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
         "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "1 blocks, largest sign table 9 bytes",
     ]
+    # one word a mask splits a 130-vertex path at L=3 into root blocks
+    # 0, 1-16, 17-67, 68-124 and 125-129; the fourth has 61 inner vertices
+    monkeypatch.setattr(subgraphs, "_WORD_BUDGET", 1)
+    path = {}
+    for u in range(129):
+        path[(u, u + 1)] = path[(u + 1, u)] = 1
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cyclebalance.engine"):
+        cycle_census(SignedDigraph(130, path, from_undirected=True), 3)
+    assert caplog.records[-1].getMessage() == \
+        "5 blocks, largest sign table 3721 bytes"
 
 
 def test_census_validation():

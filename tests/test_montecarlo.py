@@ -20,6 +20,8 @@ def test_config_validation():
         MonteCarloConfig(1, 2, 4, 5)   # sample_size < max_length
     with pytest.raises(ValueError):
         MonteCarloConfig(1, 2, 5, 5, aggregation="median")
+    with pytest.raises(ValueError, match="workers"):
+        run_monte_carlo(TRIAD, MonteCarloConfig(1, 2, 3, 3), workers=0)
 
 
 def test_snowball_forced_path():

@@ -8,6 +8,7 @@ import pytest
 
 from cyclebalance import subgraphs
 from cyclebalance.datasets import load_gahuku_gama
+from cyclebalance.engine import cycle_census
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.subgraphs import (connected_induced_subgraphs,
                                     connected_vertex_sets,
@@ -145,15 +146,20 @@ def test_visit_multiset_is_pinned(case):
 @pytest.mark.parametrize("case", sorted(_GOLDEN_SETS))
 def test_each_visit_follows_its_parent(case):
     # the cycle engine builds each subgraph's matrix from its parent's: row i
-    # of a class extends row parent[i] of the block's previous class
+    # of a class extends row parent[i] of the block's previous class, and
+    # the added vertex is one of the block's inner vertices, whose signs the
+    # engine tabulates once per block
     make_graph, max_size, _, _ = _GOLDEN_SETS[case]
     up = np.zeros((1, 0), dtype=np.int32)  # class 0: the empty set
-    for parent, verts, nb in size_classes(make_graph(), max_size):
+    for parent, verts, nb, inner in size_classes(make_graph(), max_size):
         if verts.shape[1] == 1:
             up = np.zeros((1, 0), dtype=np.int32)
+            block = inner
         assert verts.shape[1] == up.shape[1] + 1
         assert (verts[:, :-1] == up[parent]).all()
         assert len(parent) == len(verts) == len(nb)
+        assert inner is block and (np.diff(inner) > 0).all()
+        assert np.isin(verts[:, -1], inner).all()
         up = verts
 
 
@@ -173,6 +179,9 @@ def test_blocks_forced_by_the_smallest_word_budget(monkeypatch):
 # block's neighbour masks stay under 2 MB (subgraphs._WORD_BUDGET), where one
 # 20,000-bit mask per vertex took 39 MB
 _SPARSE_PEAK_BYTES = 12 * 2**20
+# and of its census: the engine's sign table spans one block's inner
+# vertices (1.4 MB here), where a table of all vertex pairs would take 400 MB
+_SPARSE_CENSUS_PEAK_BYTES = 40 * 2**20
 
 
 def _sparse_signed_graph(n, m, seed):
@@ -186,16 +195,24 @@ def _sparse_signed_graph(n, m, seed):
     return SignedDigraph(n, edges, from_undirected=True)
 
 
-def test_sparse_graph_memory_stays_bounded():
-    g = _sparse_signed_graph(20_000, 40_000, 1)
+def _traced_peak(run):
+    """What ``run()`` returns, and the tracemalloc peak while it ran."""
     tracemalloc.start()
     try:
-        count = enumerate_connected_induced_subgraphs(g, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        return run(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sparse_graph_memory_stays_bounded():
+    g = _sparse_signed_graph(20_000, 40_000, 1)
+    count, peak = _traced_peak(
+        lambda: enumerate_connected_induced_subgraphs(g, 3))
     assert count > 20_000
     assert peak < _SPARSE_PEAK_BYTES, peak
+    census, peak = _traced_peak(lambda: cycle_census(g, 3))
+    assert census.total(2) == 40_000
+    assert peak < _SPARSE_CENSUS_PEAK_BYTES, peak
 
 
 def _connected_sets_by_growth(g, max_size):
