@@ -99,7 +99,13 @@ class ShuffleNullResult:
 
 def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
                  seed: int = 0) -> ShuffleNullResult:
-    """Empirical null: average exact balance ratios over sign shuffles."""
+    """Empirical null: average exact balance ratios over sign shuffles.
+
+    Each shuffle permutes signs over g's arcs, so its census reuses the
+    unsigned series the engine keeps for that topology: k shuffles cost k
+    signed passes and one unsigned pass, none if g was just counted at
+    ``max_length``.
+    """
     if shuffles < 1:
         raise ValueError("need at least one shuffle")
     per_length: dict[int, list[float]] = {l: [] for l in range(1, max_length + 1)}

@@ -14,6 +14,13 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("ci")
 
 
+@pytest.fixture(autouse=True)
+def no_unsigned_entry():
+    """Start each test without the engine's reusable unsigned series, so no
+    test's trace work or log records depend on the test before it."""
+    engine._unsigned_entry = None
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

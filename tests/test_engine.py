@@ -338,10 +338,13 @@ def test_debug_records_per_size(caplog, monkeypatch):
         "size 3: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
         "size 4: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
         "1 blocks, largest sign table 16 bytes",
+        # the first census of g, before the capture, computed it
+        "unsigned series reused",
         "size 1: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
         "size 2: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
         "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
         "1 blocks, largest sign table 9 bytes",
+        "unsigned series computed",
     ]
     # one word a mask splits a 130-vertex path at L=3 into root blocks
     # 0, 1-16, 17-67, 68-124 and 125-129; the fourth has 61 inner vertices
@@ -352,8 +355,47 @@ def test_debug_records_per_size(caplog, monkeypatch):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cyclebalance.engine"):
         cycle_census(SignedDigraph(130, path, from_undirected=True), 3)
-    assert caplog.records[-1].getMessage() == \
-        "5 blocks, largest sign table 3721 bytes"
+    assert [r.getMessage() for r in caplog.records[-2:]] == [
+        "5 blocks, largest sign table 3721 bytes", "unsigned series computed"]
+
+
+def test_unsigned_series_reused_until_topology_changes(monkeypatch):
+    # spies: the weightings each evaluation traces (one series each), and
+    # the enumerations
+    traced, enumerated = [], []
+    finish, classes = engine._finish, engine.size_classes
+
+    def finish_spy(buckets, max_length):
+        traced.append(len(buckets))
+        return finish(buckets, max_length)
+
+    def classes_spy(g, max_size):
+        enumerated.append(g)
+        return classes(g, max_size)
+
+    monkeypatch.setattr(engine, "_finish", finish_spy)
+    monkeypatch.setattr(engine, "size_classes", classes_spy)
+    g = parse_edge_list("0 1 1\n1 0 -1\n1 2 -1\n2 0 1\n2 2 -1\n0 3 1\n3 1 -1")
+    other = parse_edge_list("0 1 1\n1 0 -1\n1 2 -1\n2 0 1\n2 2 -1\n0 3 1")
+    first = cycle_census(g, 5)
+    assert first == brute_force_census(g, 5) and traced == [2]
+    # a second census of the topology traces the signed weighting only
+    assert cycle_census(g, 5) == first
+    flipped = SignedDigraph(4, {uv: -s for uv, s in g.edges.items()})
+    assert cycle_census(flipped, 5) == brute_force_census(flipped, 5)
+    assert traced == [2, 1, 1]
+    # the unsigned series alone: no enumeration at all
+    unsigned = cycle_polynomial(g, 5, "unsigned")
+    assert unsigned.coefficients[1:] == tuple(first.total(l) for l in
+                                              range(1, 6))
+    assert traced == [2, 1, 1] and len(enumerated) == 3
+    # a signed-only evaluation keeps the entry
+    cycle_polynomial(other, 5, "signed")
+    assert cycle_census(g, 5) == first and traced == [2, 1, 1, 1, 1]
+    # another topology evicts it: g is traced in both weightings again
+    assert cycle_census(other, 5) == brute_force_census(other, 5)
+    assert cycle_census(g, 5) == first
+    assert traced == [2, 1, 1, 1, 1, 2, 2]
 
 
 def test_census_validation():

@@ -1,19 +1,23 @@
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cyclebalance
+from cyclebalance import engine
 from cyclebalance.engine import BalanceRow, BalanceTable, cycle_census
-from cyclebalance.graph import parse_edge_list
-from cyclebalance.nullmodel import (CorrelationFit, default_fit_range,
-                                    fit_correlation_length, model_ratio,
-                                    null_band, null_ratio,
+from cyclebalance.graph import SignedDigraph, parse_edge_list
+from cyclebalance.nullmodel import (CorrelationFit, _shuffled_graph,
+                                    default_fit_range, fit_correlation_length,
+                                    model_ratio, null_band, null_ratio,
                                     null_ratio_closed_form, shuffle_null)
+from cyclebalance.oracle import brute_force_census
 from _util import random_signed_digraph
 
 
@@ -81,6 +85,92 @@ def test_shuffle_reproducible():
     a = shuffle_null(g, 4, 6, seed=3)
     b = shuffle_null(g, 4, 6, seed=3)
     assert a == b
+
+
+def _topology_changes(g, max_length):
+    """(graph, max_length) pairs a step from g's topology: one arc removed,
+    one reversed, one moved to another head of its tail, and a longer
+    maximum length.  On an undirected graph each edge changes with its
+    reverse, and two edges swap ends instead of one reversing.  The move
+    and the swap keep every vertex's out-degree, so the sorted tails stay
+    as they were; the first that changes the cycle totals is taken."""
+    rng = random.Random(g.vertex_count)
+    n, edges = g.vertex_count, g.edges
+
+    def totals(h):
+        c = brute_force_census(h, max_length)
+        return [c.total(ell) for ell in range(1, max_length + 1)]
+
+    def first_new(candidates):
+        return next(h for h in candidates if totals(h) != totals(g))
+
+    pairs = [(u, v) for u, v in sorted(edges) if u < v]
+    if g.from_undirected:
+        def build(half):
+            both = dict(half)
+            both.update({(v, u): s for (u, v), s in half.items()})
+            return SignedDigraph(n, both, from_undirected=True)
+
+        def swap(a, b, c, d):
+            half = {uv: s for uv, s in edges.items() if uv[0] <= uv[1]}
+            half[min(a, d), max(a, d)] = half.pop((a, b))
+            half[min(c, b), max(c, b)] = half.pop((c, d))
+            return build(half)
+
+        removed = {uv: s for uv, s in edges.items() if uv[0] <= uv[1]}
+        del removed[rng.choice(pairs)]
+        changed = [build(removed), first_new(
+            swap(*e, *f) for e in pairs for f in pairs
+            if len({*e, *f}) == 4 and (e[0], f[1]) not in edges
+            and (f[0], e[1]) not in edges)]
+    else:
+        def move(u, v, w):
+            moved = dict(edges)
+            moved[(u, w)] = moved.pop((u, v))
+            return SignedDigraph(n, moved)
+
+        removed = dict(edges)
+        del removed[rng.choice(sorted(edges))]
+        u, v = rng.choice([uv for uv in pairs if uv[::-1] not in edges])
+        reversed_ = dict(edges)
+        reversed_[(v, u)] = reversed_.pop((u, v))
+        changed = [SignedDigraph(n, removed), SignedDigraph(n, reversed_),
+                   first_new(move(u, v, w) for u, v in sorted(edges)
+                             for w in range(n) if (u, w) not in edges)]
+    return [(h, max_length) for h in changed] + [(g, max_length + 1)]
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_shuffles_reusing_unsigned_series_equal_oracle(undirected):
+    # every shuffle keeps the topology: its census reuses the unsigned
+    # series of the census before it and must still equal the oracle
+    rng = random.Random(11)
+    g = random_signed_digraph(rng, vertices=9, edge_prob=0.3, loop_prob=0.3,
+                              undirected=undirected)
+    if not undirected:
+        # antiparallel arcs of opposite sign, so no A_H is symmetric
+        edges = dict(g.edges)
+        for (u, v), s in g.edges.items():
+            if u != v and rng.random() < 0.4:
+                edges[(v, u)] = -s
+        g = SignedDigraph(g.vertex_count, edges)
+        assert any(u != v and edges.get((v, u)) == -s
+                   for (u, v), s in edges.items())
+        assert any(u == v for u, v in edges)
+    L = 6
+    assert cycle_census(g, L) == brute_force_census(g, L)
+    entry = engine._unsigned_entry
+    for k in range(6):
+        shuffled = _shuffled_graph(g, np.random.default_rng([5, k]))
+        assert cycle_census(shuffled, L) == brute_force_census(shuffled, L)
+        assert engine._unsigned_entry is entry
+    # a changed topology misses the entry and replaces it
+    for changed, length in _topology_changes(g, L):
+        cycle_census(g, L)
+        entry = engine._unsigned_entry
+        assert cycle_census(changed, length) == \
+            brute_force_census(changed, length)
+        assert engine._unsigned_entry is not entry
 
 
 def test_fit_round_trip_xi_2():
