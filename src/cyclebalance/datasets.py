@@ -30,19 +30,14 @@ def fixture_text(name: str) -> str:
     return (resources.files("cyclebalance.data") / name).read_text()
 
 
-def _marked_undirected(g: SignedDigraph) -> SignedDigraph:
-    return SignedDigraph(g.vertex_count, dict(g.edges), from_undirected=True,
-                         vertex_labels=g.vertex_labels)
-
-
 def load_triad() -> SignedDigraph:
     """Three mutually connected vertices, one antagonistic relation."""
-    return _marked_undirected(parse_edge_list(fixture_text("triad.tsv")))
+    return parse_edge_list(fixture_text("triad.tsv"), undirected=True)
 
 
 def load_gahuku_gama() -> SignedDigraph:
     """Sixteen-tribe signed alliance network (symmetrized edge list)."""
-    return _marked_undirected(parse_edge_list(fixture_text("gahuku_gama.tsv")))
+    return parse_edge_list(fixture_text("gahuku_gama.tsv"), undirected=True)
 
 
 def data_dir() -> Path:

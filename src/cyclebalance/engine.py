@@ -41,8 +41,9 @@ first return to it after m steps.  This follows from det(I - z A_H) =
 det(I - z A_P) (1 - sum_m g_m z^m), a Schur complement, and from
 sum_l Tr A^l z^l = -z d/dz log det(I - z A).  The g_m come from chains of
 half length, x_b = A_P^b c and y_a = u A_P^a, as g_(a+b+2) = y_a x_b; on a
-symmetric graph y_a = x_a.  So a subgraph costs ceil((L-2)/2) matrix-vector
-products per chain and an O(L^2) recursion, vectorised over the slice.
+symmetric graph (``SignedDigraph.symmetric``) y_a = x_a.  So a subgraph
+costs ceil((L-2)/2) matrix-vector products per chain and an O(L^2)
+recursion, vectorised over the slice.
 Bound: the entries of x_b and y_a, g_m, and every term and partial sum of
 the recursion at degree l are sub-sums of the matching unsigned walk
 counts, and those of D_l sum to Tr |A_H|^l - Tr |A_P|^l <= h r^l, so the
@@ -84,7 +85,7 @@ the loopless adjacencies (A, |A|) of the closed-walk census, at any length.
 Reusing the unsigned series.  The unsigned weighting |A_H| counts the
 cycles of each length whatever their signs, so its series is a function of
 the arc set and L alone.  ``_series_pair`` keeps one entry: L, the tails
-and heads of the arcs sorted by (tail, head) as int64 arrays, which
+and heads of the graph's read-only ``arcs``, sorted by (tail, head), which
 determine the arc set, and the unsigned series computed for them.  A later
 evaluation with the same L and arc arrays, compared in full, takes that
 series and traces only the signed stack, or, asked for the unsigned series
@@ -170,7 +171,13 @@ class CycleCensus:
     @classmethod
     def from_weights(cls, signed, unsigned) -> "CycleCensus":
         """Census from per-length sums of signs (N^+ - N^-) and of ones
-        (N^+ + N^-), lengths 1, 2, ...; checks parity and magnitude."""
+        (N^+ + N^-), lengths 1, 2, ...; checks lengths, parity and
+        magnitude."""
+        if len(signed) != len(unsigned):
+            raise CycleEngineError(
+                f"{len(signed)} signed coefficients against {len(unsigned)} "
+                f"unsigned: the series lengths differ"
+            )
         for ell, (s, u) in enumerate(zip(signed, unsigned), start=1):
             if (u + s) % 2 or u < abs(s):
                 raise CycleEngineError(
@@ -219,9 +226,6 @@ class BalanceTable:
             if r.length == length:
                 return r
         raise KeyError(length)
-
-    def defined_lengths(self) -> list[int]:
-        return [r.length for r in self.rows if r.ratio_negative is not None]
 
 
 def _has_cycle(mats: np.ndarray) -> np.ndarray:
@@ -279,12 +283,13 @@ def _finish(buckets, max_length: int) -> list[TruncatedSeries]:
 
 
 def _power_traces(mats: np.ndarray, lo: int, hi: int):
-    """Yield (Tr A^l, h r^l) for l = lo..hi over a stack (..., h, h) of
-    integer matrices A; r is the largest row sum of |A| over the stack.
+    """Yield Tr A^l for l = lo..hi over a stack (..., h, h) of integer
+    matrices A.
 
     The traces are exact: only A^1..A^ceil(hi/2) are multiplied out, longer
     traces come from the half-power identity, and each power and trace is
-    computed in the dtype that its bound h r^l allows (module docstring).
+    computed in the dtype that its bound h r^l allows, with r the largest
+    row sum of |A| over the stack (module docstring).
     """
     h = mats.shape[-1]
     # einsum sums short int8 rows about twice as fast as ndarray.sum
@@ -296,13 +301,12 @@ def _power_traces(mats: np.ndarray, lo: int, hi: int):
         dtype = _exact_dtype(h * r**k)
         powers.append(_widen(powers[-1], dtype) @ _widen(powers[1], dtype))
     for ell in range(lo, hi + 1):
-        bound = h * r**ell
         if ell <= half:
-            yield np.trace(powers[ell], axis1=-2, axis2=-1), bound
+            yield np.trace(powers[ell], axis1=-2, axis2=-1)
         else:
-            dtype = _exact_dtype(bound)
+            dtype = _exact_dtype(h * r**ell)
             yield np.einsum("...ij,...ji->...", _widen(powers[half], dtype),
-                            _widen(powers[ell - half], dtype)), bound
+                            _widen(powers[ell - half], dtype))
 
 
 def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
@@ -365,9 +369,7 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
     if not signed and not unsigned:
         raise ValueError("request at least one weighting")
     n = g.vertex_count
-    arcs = sorted(g.edges.items())
-    tails, heads = np.array([uv for uv, _ in arcs], np.int64).reshape(-1, 2).T
-    signs = np.array([s for _, s in arcs], dtype=np.int8)
+    tails, heads, signs = g.arcs
     # read once: a concurrent replacement can cost a reuse, never mix
     # one entry's key with another's series
     entry = _unsigned_entry
@@ -379,16 +381,8 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
         return [entry[3]]
     unsigned = unsigned and not reused
     n_out = int(signed) + int(unsigned)
-    # each A_H is symmetric iff every arc has a reverse arc of the same sign,
-    # that is iff sorting the arcs by (head, tail) puts at each position
-    # the reverse of the arc there in (tail, head) order, with its sign
-    back = np.lexsort((tails, heads))
-    symmetric = bool((tails[back] == heads).all()
-                     and (heads[back] == tails).all()
-                     and (signs[back] == signs).all())
     # out-arcs of vertex u: heads and signs [out[u], out[u + 1])
-    out = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=out[1:])
+    out = np.searchsorted(tails, np.arange(n + 1))
     # table[rank[u] * m + rank[v]] = sign(u -> v) over the m inner vertices
     # of the current block; ``held`` lists the entries set, to clear before
     # the next block
@@ -457,7 +451,7 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
             t = _walk_traces(
                 np.concatenate([live_sub] * signed + [absolute] * unsigned), r,
                 up_traces[:, :, p[live]].reshape(max_length - h + 1, -1),
-                max_length, symmetric).reshape(max_length - h + 1, n_out, -1)
+                max_length, g.symmetric).reshape(max_length - h + 1, n_out, -1)
             traces = _widen(traces, _wider(traces.dtype, t.dtype))
             traces[:, :, start + live] = _widen(t[1:], traces.dtype)
             # runs of equal neighbour count share their binomials
@@ -555,12 +549,12 @@ def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
     """
     from scipy import sparse
 
-    loops = [s for (u, v), s in g.edges.items() if u == v]
-    arcs = {uv: s for uv, s in g.edges.items() if uv[0] != uv[1]}
-    tails, heads = np.array(list(arcs), dtype=np.int64).reshape(-1, 2).T
+    tails, heads, signs = g.arcs
+    loops, keep = signs[tails == heads], tails != heads
+    tails, heads, signs = tails[keep], heads[keep], signs[keep].astype(np.int64)
     d = int(np.bincount(tails, minlength=1).max())
-    if len(arcs) * d >= _INT64_EXACT:
-        raise OverflowError(f"{len(arcs)} arcs of out-degree up to {d}: "
+    if len(tails) * d >= _INT64_EXACT:
+        raise OverflowError(f"{len(tails)} arcs of out-degree up to {d}: "
                             f"Tr S^3 could exceed 2^62")
 
     def weights(signs):
@@ -570,6 +564,6 @@ def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
         return [int(s.multiply(s.T).sum()) // 2,
                 int((s @ s).multiply(s.T).sum()) // 3]
 
-    signs = np.array(list(arcs.values()), dtype=np.int64)
     return balance_table(CycleCensus.from_weights(
-        [sum(loops)] + weights(signs), [len(loops)] + weights(np.abs(signs))))
+        [int(loops.sum())] + weights(signs),
+        [len(loops)] + weights(np.abs(signs))))

@@ -3,11 +3,18 @@
 Edges carry a weight of +1 (amity) or -1 (enmity).  An undirected network is
 stored as its symmetrized directed form: every undirected edge contributes
 both orientations with equal sign.
+
+Two views are derived once per graph: ``arcs``, read-only arrays of tails,
+heads and signs sorted by (tail, head), which every array consumer reads,
+and ``symmetric``, whether each arc has a reverse arc of equal sign.  The
+engine counts cycles on any digraph; ``symmetric`` only selects its y = x
+walk chains, and a graph flagged ``from_undirected`` must have it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,7 +67,6 @@ class SignedDigraph:
     from_undirected: bool = False
     vertex_labels: tuple[str, ...] | None = None
     _out: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _in: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     _und: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,7 +74,6 @@ class SignedDigraph:
         if n < 0:
             raise GraphError("vertex_count must be nonnegative")
         out: dict[int, list[int]] = {v: [] for v in range(n)}
-        inc: dict[int, list[int]] = {v: [] for v in range(n)}
         und: dict[int, set[int]] = {v: set() for v in range(n)}
         for (u, v), s in self.edges.items():
             if not (0 <= u < n and 0 <= v < n):
@@ -76,23 +81,16 @@ class SignedDigraph:
             if s not in (1, -1):
                 raise GraphError(f"edge ({u}, {v}) has sign {s}, expected +1 or -1")
             out[u].append(v)
-            inc[v].append(u)
             if u != v:
                 und[u].add(v)
                 und[v].add(u)
-        if self.from_undirected:
-            for (u, v), s in self.edges.items():
-                if self.edges.get((v, u)) != s:
-                    raise GraphError(
-                        f"graph flagged undirected but ({u}, {v}) lacks a "
-                        f"matching reverse edge of equal sign"
-                    )
-        for adj in out.values():
-            adj.sort()
-        for adj in inc.values():
-            adj.sort()
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
+        if self.from_undirected and not self.symmetric:
+            u, v = (a[self._unmatched_arcs()[0]] for a in self.arcs[:2])
+            raise GraphError(
+                f"graph flagged undirected but ({u}, {v}) lacks a "
+                f"matching reverse edge of equal sign"
+            )
+        object.__setattr__(self, "_out", {v: sorted(a) for v, a in out.items()})
         object.__setattr__(self, "_und", {v: sorted(s) for v, s in und.items()})
 
     # -- basic queries ----------------------------------------------------
@@ -108,9 +106,6 @@ class SignedDigraph:
     def out_neighbours(self, v: int) -> list[int]:
         return self._out[v]
 
-    def in_neighbours(self, v: int) -> list[int]:
-        return self._in[v]
-
     def undirected_neighbours(self, v: int) -> list[int]:
         """Vertices joined to v by an edge in either direction (loops excluded)."""
         return self._und[v]
@@ -125,19 +120,39 @@ class SignedDigraph:
         neg = sum(1 for s in self.edges.values() if s < 0)
         return neg / len(self.edges)
 
-    # -- matrix views ------------------------------------------------------
+    # -- array and matrix views --------------------------------------------
 
-    def adjacency(self, signed: bool = True, strip_loops: bool = False,
-                  dtype=np.int64) -> np.ndarray:
-        """Dense adjacency matrix A (signed) or |A| (unsigned).
+    @cached_property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tails, heads, signs) of the arcs sorted by (tail, head), as
+        read-only int64, int64 and int8 arrays."""
+        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
+        order = np.lexsort(pairs[::-1])
+        signs = np.array(list(self.edges.values()), dtype=np.int8)
+        views = (*np.ascontiguousarray(pairs[:, order]), signs[order])
+        for a in views:
+            a.flags.writeable = False
+        return views
 
-        ``strip_loops`` zeroes the diagonal, giving A - Diag(A).
-        """
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether every arc has a reverse arc of equal sign (A = A^T)."""
+        return not len(self._unmatched_arcs())
+
+    def _unmatched_arcs(self) -> np.ndarray:
+        """Positions in ``arcs`` of the arcs without a reverse arc of equal
+        sign, found by binary search among the ascending keys tail n + head."""
+        tails, heads, signs = self.arcs
+        n = self.vertex_count
+        keys, back = tails * n + heads, heads * n + tails
+        pos = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+        return np.flatnonzero((keys[pos] != back) | (signs[pos] != signs))
+
+    def adjacency(self, signed: bool = True, dtype=np.int64) -> np.ndarray:
+        """Dense adjacency matrix A (signed) or |A| (unsigned)."""
+        tails, heads, signs = self.arcs
         a = np.zeros((self.vertex_count, self.vertex_count), dtype=dtype)
-        for (u, v), s in self.edges.items():
-            a[u, v] = s if signed else abs(s)
-        if strip_loops:
-            np.fill_diagonal(a, 0)
+        a[tails, heads] = signs if signed else np.abs(signs)
         return a
 
     # -- derived graphs ----------------------------------------------------
@@ -172,14 +187,8 @@ class SignedDigraph:
             if not (0 <= v < self.vertex_count):
                 raise GraphError(f"vertex {v} not in graph")
         local = {g: i for i, g in enumerate(order)}
-        sub: dict[tuple[int, int], int] = {}
-        for g in order:
-            lu = local[g]
-            if (g, g) in self.edges:
-                sub[(lu, lu)] = self.edges[(g, g)]
-            for h in self._out[g]:
-                if h != g and h in local:
-                    sub[(lu, local[h])] = self.edges[(g, h)]
+        sub = {(local[g], local[h]): self.edges[(g, h)]
+               for g in order for h in self._out[g] if h in local}
         return (SignedDigraph(len(order), sub,
                               from_undirected=self.from_undirected),
                 order)
@@ -190,15 +199,7 @@ class SignedDigraph:
         for v in inside:
             if not (0 <= v < self.vertex_count):
                 raise GraphError(f"vertex {v} not in graph")
-        seen: set[int] = set()
-        for v in inside:
-            for w in self._out[v]:
-                if w not in inside:
-                    seen.add(w)
-            for w in self._in[v]:
-                if w not in inside:
-                    seen.add(w)
-        return sorted(seen)
+        return sorted(set().union(*(self._und[v] for v in inside)) - inside)
 
     def relabel(self, permutation: Sequence[int]) -> "SignedDigraph":
         """Apply a vertex permutation (new id = permutation[old id])."""
@@ -250,15 +251,10 @@ def parse_edge_list(text: str, *, undirected: bool = False,
                     f"edge {su}->{sv} conflicts with sign given on line {prev[1]}",
                     lineno,
                 )
+        # when undirected, (u, v) and (v, u) always hold one sign, so the
+        # check above covers the reverse pair too
         raw[(u, v)] = (sign, lineno)
         if undirected:
-            prev = raw.get((v, u))
-            if prev is not None and prev[0] != sign:
-                if duplicate_policy == "reject":
-                    raise ParseError(
-                        f"edge {sv}->{su} conflicts with sign given on line {prev[1]}",
-                        lineno,
-                    )
             raw[(v, u)] = (sign, lineno)
     labels = tuple(sorted(ids, key=ids.get))
     edges = {pair: sign for pair, (sign, _) in raw.items()}

@@ -67,27 +67,17 @@ def null_band(p: float, length: int, total_cycles: int) -> NullBandRow:
 def _shuffled_graph(g: SignedDigraph, rng: np.random.Generator) -> SignedDigraph:
     """Permute the existing signs over edge slots, preserving counts exactly.
 
-    For symmetrized graphs, signs are permuted over undirected slots and
-    mirrored, keeping the graph a valid undirected network.
+    The slots are the arcs in (tail, head) order.  For symmetrized graphs
+    they are the arcs (u, v) with u <= v, and the result is symmetrized,
+    keeping the graph a valid undirected network.
     """
-    if g.from_undirected:
-        slots = sorted({(u, v) for (u, v) in g.edges if u <= v})
-        signs = [g.edges[s] for s in slots]
-        perm = rng.permutation(len(signs))
-        edges = {}
-        for slot, k in zip(slots, perm):
-            s = signs[int(k)]
-            u, v = slot
-            edges[(u, v)] = s
-            edges[(v, u)] = s
-        return SignedDigraph(g.vertex_count, edges, from_undirected=True,
+    tails, heads, signs = g.arcs
+    slots = (tails <= heads) | (not g.from_undirected)
+    edges = dict(zip(zip(tails[slots].tolist(), heads[slots].tolist()),
+                     signs[slots][rng.permutation(int(slots.sum()))].tolist()))
+    shuffled = SignedDigraph(g.vertex_count, edges,
                              vertex_labels=g.vertex_labels)
-    slots = sorted(g.edges)
-    signs = [g.edges[s] for s in slots]
-    perm = rng.permutation(len(signs))
-    edges = {slot: signs[int(k)] for slot, k in zip(slots, perm)}
-    return SignedDigraph(g.vertex_count, edges, from_undirected=False,
-                         vertex_labels=g.vertex_labels)
+    return shuffled.symmetrize() if g.from_undirected else shuffled
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .engine import BalanceRow, CycleCensus, _power_traces, balance_table
 from .graph import GraphError, SignedDigraph
+from .subgraphs import _ranges
 
 __all__ = [
     "HashimotoMatrix",
@@ -64,19 +65,16 @@ def hashimoto_matrix(g: SignedDigraph) -> HashimotoMatrix:
             "Hashimoto matrix requires a loopless graph; strip self-loops "
             "first (without_self_loops)"
         )
-    index = sorted(g.edges)
-    pos = {e: i for i, e in enumerate(index)}
-    n = len(index)
-    t = np.zeros((n, n), dtype=np.int64)
-    for i, (u, v) in enumerate(index):
-        s = g.edges[(u, v)]
-        for w in g.out_neighbours(v):
-            if w == u:
-                continue  # immediate reversal is forbidden
-            j = pos.get((v, w))
-            if j is not None:
-                t[i, j] = s
-    return HashimotoMatrix(tuple(index), t)
+    tails, heads, signs = g.arcs
+    # arc e = (u, v) moves to every arc f leaving v, bar its reversal (v, u)
+    out = np.searchsorted(tails, np.arange(g.vertex_count + 1))
+    lo, hi = out[heads], out[heads + 1]
+    e = np.repeat(np.arange(len(tails)), hi - lo)
+    f = _ranges(lo, hi)
+    keep = heads[f] != tails[e]
+    t = np.zeros((len(tails), len(tails)), dtype=np.int64)
+    t[e[keep], f[keep]] = signs[e[keep]]
+    return HashimotoMatrix(tuple(zip(tails.tolist(), heads.tolist())), t)
 
 
 def mobius(n: int) -> int:
@@ -125,7 +123,7 @@ def primitive_orbit_counts(g: SignedDigraph, max_length: int) -> CycleCensus:
             f"{DENSE_CAP}; orbit counting at this scale is not supported"
         )
     mat = hashimoto_matrix(g).matrix
-    tr_s, tr_u = zip(*(map(int, tr) for tr, _ in _power_traces(
+    tr_s, tr_u = zip(*(map(int, tr) for tr in _power_traces(
         np.stack([mat, np.abs(mat)]), 1, max_length)))
     tot = {1: 0, 2: 0}
     diff = {1: 0, 2: 0}
@@ -156,19 +154,14 @@ def stark_terras_orbit_walks(g: SignedDigraph, max_length: int
     tail correction subtracts walks whose closing step retraces.  Satisfies
     W+ - W- = Tr T^l and W+ + W- = Tr |T|^l.
     """
-    if not _is_symmetric(g):
+    if not g.symmetric:
         raise GraphError("the orbit-walk recursion is limited to undirected "
                          "(symmetric) graphs")
     if g.has_self_loops():
         raise GraphError("strip self-loops before the orbit-walk recursion")
     n = g.vertex_count
-    ap = np.zeros((n, n), dtype=object)
-    am = np.zeros((n, n), dtype=object)
-    for (u, v), s in g.edges.items():
-        if s > 0:
-            ap[u, v] = 1
-        else:
-            am[u, v] = 1
+    a = g.adjacency()
+    ap, am = ((a == s).astype(np.int64).astype(object) for s in (1, -1))
     deg = ap.sum(axis=1) + am.sum(axis=1)
     q = np.diag(deg - 1)
     ident = np.eye(n, dtype=object)
@@ -198,10 +191,6 @@ def stark_terras_orbit_walks(g: SignedDigraph, max_length: int
     return out
 
 
-def _is_symmetric(g: SignedDigraph) -> bool:
-    return all(g.edges.get((v, u)) == s for (u, v), s in g.edges.items())
-
-
 def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
     """Closed-walk balance ratios per length from traces of A^l and |A|^l.
 
@@ -212,10 +201,10 @@ def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    loops = [s for (u, v), s in g.edges.items() if u == v]
-    signed, unsigned = [sum(loops)], [len(loops)]
-    a = g.adjacency(signed=True, strip_loops=True)
-    for tr, _ in _power_traces(np.stack([a, np.abs(a)]), 2, max_length):
+    a = g.adjacency(signed=True)
+    signed, unsigned = [int(np.trace(a))], [int(np.trace(np.abs(a)))]
+    np.fill_diagonal(a, 0)
+    for tr in _power_traces(np.stack([a, np.abs(a)]), 2, max_length):
         signed.append(int(tr[0]))
         unsigned.append(int(tr[1]))
     return balance_table(CycleCensus.from_weights(signed, unsigned)).rows

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebalance import engine, subgraphs
-from cyclebalance.engine import (CycleEngineError, _exact_dtype, _has_cycle,
-                                 balance_table, cycle_census,
+from cyclebalance.engine import (CycleCensus, CycleEngineError, _exact_dtype,
+                                 _has_cycle, balance_table, cycle_census,
                                  cycle_polynomial, exact_low_order_ratios)
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.montecarlo import sample_connected_vertex_set
@@ -403,6 +403,15 @@ def test_census_validation():
         cycle_census(complete_graph(3), 0)
     with pytest.raises(ValueError):
         cycle_polynomial(complete_graph(3), 3, "weird")
+
+
+@pytest.mark.parametrize("signed, unsigned", [([1, 0, 2], [1, 2, 2, 5]),
+                                              ([1, 0, 2, 1], [1, 2, 2])])
+def test_from_weights_rejects_series_of_unequal_length(signed, unsigned):
+    with pytest.raises(CycleEngineError,
+                       match=f"{len(signed)} signed coefficients against "
+                             f"{len(unsigned)} unsigned"):
+        CycleCensus.from_weights(signed, unsigned)
 
 
 def _filter_matches_nilpotency(g, max_size):

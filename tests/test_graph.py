@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from cyclebalance.graph import (GraphError, ParseError, SignConflictError,
                                 SignedDigraph, complete_graph, load_edge_list,
                                 parse_edge_list)
+from _util import random_signed_digraph
 
 
 def test_parse_basic():
@@ -129,3 +131,73 @@ def test_relabel_preserves_structure(n, data):
     h = g.relabel(list(perm))
     assert h.edge_count == g.edge_count
     assert sorted(h.edges.values()) == sorted(g.edges.values())
+
+
+def _with_opposite_reverses(g, rng):
+    """g plus, for some arcs (u, v), a reverse arc (v, u) of opposite sign."""
+    edges = dict(g.edges)
+    for (u, v), s in g.edges.items():
+        if u != v and (v, u) not in g.edges and rng.random() < 0.3:
+            edges[(v, u)] = -s
+    return SignedDigraph(g.vertex_count, edges)
+
+
+def test_arcs_and_symmetric_match_their_definitions(rng):
+    seen = {True: 0, False: 0}
+    for k in range(60):
+        g = random_signed_digraph(rng, max_vertices=8, edge_prob=0.35,
+                                  loop_prob=0.3, undirected=k % 3 == 0)
+        if k % 3 == 1:
+            g = _with_opposite_reverses(g, rng)
+        tails, heads, signs = g.arcs
+        assert (tails.dtype, heads.dtype, signs.dtype) == \
+            (np.int64, np.int64, np.int8)
+        assert list(zip(zip(tails.tolist(), heads.tolist()),
+                        signs.tolist())) == sorted(g.edges.items())
+        for a in g.arcs:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[:1] = 0
+        assert g.arcs is g.arcs  # computed once
+        symmetric = all(g.edges.get((v, u)) == s
+                        for (u, v), s in g.edges.items())
+        assert g.symmetric is symmetric
+        assert (g.adjacency() == g.adjacency().T).all() == symmetric
+        seen[symmetric] += 1
+    assert min(seen.values()) > 10
+
+
+def test_undirected_flag_names_an_unmatched_edge():
+    cases = [({(0, 1): 1, (1, 0): 1, (1, 2): -1}, "(1, 2)"),
+             ({(0, 1): 1, (1, 0): 1, (2, 1): -1}, "(2, 1)"),
+             ({(2, 2): 1, (1, 2): 1, (2, 1): -1}, "(1, 2)"),
+             ({(0, 0): -1, (0, 2): -1, (2, 0): 1}, "(0, 2)")]
+    for edges, named in cases:
+        with pytest.raises(GraphError) as exc:
+            SignedDigraph(3, edges, from_undirected=True)
+        assert str(exc.value) == (f"graph flagged undirected but {named} "
+                                  f"lacks a matching reverse edge of equal "
+                                  f"sign")
+        assert not SignedDigraph(3, edges).symmetric
+
+
+def test_parse_undirected_conflict_names_both_lines():
+    with pytest.raises(ParseError, match="edge 1->0 conflicts with sign "
+                       "given on line 1") as exc:
+        parse_edge_list("0 1 1\n1 0 -1", undirected=True)
+    assert exc.value.line_number == 2
+    g = parse_edge_list("0 1 1\n1 0 -1", undirected=True,
+                        duplicate_policy="last")
+    assert dict(g.edges) == {(0, 1): -1, (1, 0): -1}
+
+
+def test_induced_subgraph_matches_definition(rng):
+    for _ in range(30):
+        g = random_signed_digraph(rng, max_vertices=8, edge_prob=0.4,
+                                  loop_prob=0.3)
+        vs = rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count))
+        sub, order = g.induced_subgraph(vs)
+        assert order == vs
+        assert dict(sub.edges) == {
+            (i, j): g.edges[(u, v)] for i, u in enumerate(vs)
+            for j, v in enumerate(vs) if (u, v) in g.edges}

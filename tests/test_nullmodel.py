@@ -73,6 +73,25 @@ def test_shuffle_preserves_negative_count(rng):
             assert shuffled.from_undirected
 
 
+@pytest.mark.parametrize("undirected, before, after", [
+    (False, "--+-+++++++++-++++", "++++++-++++++--++-"),
+    (True, "--+-++-++++--+++", "+++++-++-++++---"),
+])
+def test_shuffle_pinned_signs(undirected, before, after):
+    """Signs in (tail, head) order before and after one seeded shuffle of a
+    graph with loops, pinned so that the sign draw cannot move."""
+    g = random_signed_digraph(random.Random(11), vertices=7, edge_prob=0.4,
+                              loop_prob=0.3, undirected=undirected)
+    shuffled = _shuffled_graph(g, np.random.default_rng([2, 0]))
+
+    def signs(h):
+        return "".join("+-"[s < 0] for _, s in sorted(h.edges.items()))
+
+    assert (signs(g), signs(shuffled)) == (before, after)
+    assert set(shuffled.edges) == set(g.edges)
+    assert shuffled.from_undirected is undirected
+
+
 def test_shuffle_all_positive_is_identity():
     g = parse_edge_list("0 1 1\n1 2 1\n2 0 1", undirected=True)
     res = shuffle_null(g, 3, 4, seed=1)

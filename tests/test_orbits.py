@@ -52,6 +52,23 @@ def test_hashimoto_trace_invariants_random(rng):
         assert np.trace(t @ t) == 0
 
 
+def test_hashimoto_matches_definition_entrywise(rng):
+    sizes = []
+    for k in range(40):
+        g = random_signed_digraph(rng, max_vertices=8, edge_prob=0.4,
+                                  undirected=k % 2 == 0)
+        h = hashimoto_matrix(g)
+        assert h.edge_index == tuple(sorted(g.edges))
+        assert h.matrix.dtype == np.int64
+        assert h.matrix.shape == (g.edge_count,) * 2
+        for i, (u, v) in enumerate(h.edge_index):
+            for j, (x, w) in enumerate(h.edge_index):
+                moves = x == v and w != u
+                assert h.matrix[i, j] == (g.edges[(u, v)] if moves else 0)
+        sizes.append(g.edge_count)
+    assert sum(sizes) > 300
+
+
 def test_hashimoto_rejects_loops():
     g = parse_edge_list("0 0 1\n0 1 1")
     with pytest.raises(GraphError):
