@@ -16,6 +16,22 @@ The subgraph sum follows Giscard, Kriege & Wilson, "A general purpose
 algorithm for counting simple cycles and simple paths of any length"
 (Algorithmica 2019).
 
+Bicomponents.  A directed simple cycle of length >= 3 is a simple cycle of
+the underlying loopless undirected graph, so it lies inside one of that
+graph's biconnected components (Hopcroft & Tarjan, CACM 1973), and having
+3 or more vertices, inside exactly one of at least 3 vertices: a
+bicomponent, ``SignedDigraph.bicomponents``.  A subgraph that runs through
+a bridge or a pendant tree holds no such cycle.  An edge whose two ends lie
+in a bicomponent belongs to it, so each bicomponent is an induced subgraph
+and its own series counts, from degree 3 on, exactly the cycles of G of
+those lengths that lie in it.  The engine sums over the subgraphs of each
+bicomponent in turn, with |N(H)| taken within it, into the same sums; a
+graph that is one bicomponent is enumerated as it is, and nothing is
+enumerated when L <= 2 or when there is no bicomponent.  Lengths 1 and 2,
+loops and pairs of antiparallel arcs, may lie on a cut vertex or a bridge,
+outside every bicomponent or in several; they are read from ``g.arcs``, so
+each counts once.
+
 Exactness.  Subgraphs of one size h are processed in slices.  Let r be the
 largest row sum of |A_H| over a slice.  The row sums of |A_H|^k are at most
 r^k, so |(A_H^k)_ij| <= (|A_H|^k)_ij <= r^k and |Tr A_H^l| <= h r^l.  Every
@@ -100,7 +116,8 @@ per arc and L + 1 integers.
 
 Each evaluation logs one DEBUG record per subgraph size on the
 ``cyclebalance.engine`` logger: subgraphs, cyclic subgraphs, slices and the
-widest trace dtype; then one with the block count and the largest sign
+widest trace dtype; then the number of bicomponents, the vertices inside
+them and the size of the largest; then the block count and the largest sign
 table in bytes; and then whether the unsigned series was computed, reused
 or not requested.  An evaluation that only reuses the unsigned series logs
 that alone.
@@ -353,14 +370,27 @@ def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
     return _widen(up, dtype) + _widen(d[h:], dtype)
 
 
+def _short_cycles(g: SignedDigraph) -> list[tuple[int, int]]:
+    """The signed and the unsigned weights of the cycles of lengths 1 and 2,
+    loops and pairs of antiparallel arcs, read from ``g.arcs``."""
+    tails, heads, signs = g.arcs
+    rev = g._reverse_arcs()
+    loops = signs[tails == heads]
+    pair = (rev >= 0) & (tails < heads)
+    pairs = signs[pair] * signs[rev[pair]]
+    return [(int(loops.sum()), int(pairs.sum())), (len(loops), len(pairs))]
+
+
 def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
                  unsigned: bool = True) -> list[TruncatedSeries]:
     """Evaluate the generating function; returns the requested weightings.
 
-    One enumeration serves both weightings.  Size classes are assembled
-    from their parents and a block-local sign table, filtered and traced in
-    slices (module docstring); trace sums per (size, |N(H)|) are exact
-    integers across blocks, and the binomials are applied once at the end.
+    One enumeration of each bicomponent serves both weightings.  Size
+    classes are assembled from their parents and a block-local sign table,
+    filtered and traced in slices (module docstring); trace sums per
+    (size, |N(H)|) are exact integers across blocks and bicomponents, and
+    the binomials are applied once at the end, from degree 3 on.  Lengths 1
+    and 2 come from the arcs.
     The unsigned series of the last topology is reused, not traced again.
     """
     global _unsigned_entry
@@ -369,7 +399,7 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
     if not signed and not unsigned:
         raise ValueError("request at least one weighting")
     n = g.vertex_count
-    tails, heads, signs = g.arcs
+    tails, heads, _ = g.arcs
     # read once: a concurrent replacement can cost a reuse, never mix
     # one entry's key with another's series
     entry = _unsigned_entry
@@ -381,8 +411,14 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
         return [entry[3]]
     unsigned = unsigned and not reused
     n_out = int(signed) + int(unsigned)
-    # out-arcs of vertex u: heads and signs [out[u], out[u + 1])
-    out = np.searchsorted(tails, np.arange(n + 1))
+    # cycles of length >= 3 are counted one bicomponent at a time
+    parts = g.bicomponents
+    if max_length < 3 or not parts:
+        graphs = ()
+    elif len(parts) == 1 and len(parts[0]) == n:
+        graphs = (g,)
+    else:
+        graphs = (g.induced_subgraph(part.tolist())[0] for part in parts)
     # table[rank[u] * m + rank[v]] = sign(u -> v) over the m inner vertices
     # of the current block; ``held`` lists the entries set, to clear before
     # the next block
@@ -395,89 +431,107 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
             for h in range(max_length + 1)]
     # per size: subgraphs, cyclic subgraphs, slices, widest trace dtype
     tally = [[0, 0, 0, -1] for _ in range(max_length + 1)]
-    for parent, verts, nb, block in size_classes(g, max_length):
-        k, h = verts.shape
-        if h == 1:  # a new block; class 0 is the empty set
-            mats, cyclic = np.zeros((1, 0, 0), np.int8), np.zeros(1, bool)
-            traces = np.zeros((max_length, n_out, 1))
-            table[held] = 0
-            rank[inner] = -1
-            inner, m = block, len(block)
-            rank[inner] = np.arange(m)
-            if m * m > len(table):
-                table = np.zeros(m * m, dtype=np.int8)
-            # the out-arcs of the inner vertices that end at inner vertices
-            lo, hi = out[inner], out[inner + 1]
-            arc = _ranges(lo, hi)
-            col = rank[heads[arc]]
-            keep = col >= 0
-            held = (np.repeat(np.arange(m) * m, hi - lo) + col)[keep]
-            table[held] = signs[arc[keep]]
-            blocks += 1
-        # a class keeps the traces its children extend, degrees h+1..L
-        up_mats, mats = mats, np.zeros((k, h, h), np.int8)
-        up_traces, traces = traces, np.zeros((max_length - h, n_out, k))
-        cyclic = cyclic[parent]  # a parent's cycle lies in the subgraph
-        # bounds the lookup temporaries and the walk chains of one slice
-        step = max(1, _CHUNK_BYTES // (8 * n_out * (h + 2) * (h + max_length)))
-        grow = int(nb.max()) + 1 - sums[h].shape[2]
-        if grow > 0:
-            sums[h] = np.concatenate([sums[h], np.zeros(
-                sums[h].shape[:2] + (grow,), dtype=object)], axis=2)
-        stats = tally[h]
-        stats[0] += k
-        stats[2] += -(-k // step)
-        for start in range(0, k, step):
-            p, rows, sub, cyc = (a[start:start + step] for a in
-                                 (parent, verts, mats, cyclic))
-            rows = rank[rows]
-            v = rows[:, -1:]
-            sub[:, :-1, :-1] = up_mats[p]
-            # the new vertex's out-arcs, then its in-arcs from the others
-            sub[:, -1] = table.take(v * m + rows)
-            sub[:, :-1, -1] = table.take(rows[:, :-1] * m + v)
-            todo = np.flatnonzero(~cyc)
-            if len(todo):
-                cyc[todo] = _has_cycle(sub[todo])
-            # an acyclic subgraph has a nilpotent matrix: its traces stay 0
-            live = np.flatnonzero(cyc)
-            if not len(live):
-                continue
-            live = live[np.argsort(nb[start + live], kind="stable")]
-            live_sub = sub[live]
-            absolute = np.abs(live_sub)
-            # einsum sums short int8 rows about twice as fast as ndarray.sum
-            r = int(np.einsum("kij->ki", absolute, dtype=np.int64).max())
-            t = _walk_traces(
-                np.concatenate([live_sub] * signed + [absolute] * unsigned), r,
-                up_traces[:, :, p[live]].reshape(max_length - h + 1, -1),
-                max_length, g.symmetric).reshape(max_length - h + 1, n_out, -1)
-            traces = _widen(traces, _wider(traces.dtype, t.dtype))
-            traces[:, :, start + live] = _widen(t[1:], traces.dtype)
-            # runs of equal neighbour count share their binomials
-            counts = nb[start + live]
-            runs = np.flatnonzero(np.diff(counts, prepend=-1))
-            bound = len(live) * h * r**max_length
-            sums[h][:, :, counts[runs]] += _widen(np.add.reduceat(
-                _widen(t, _wider(t.dtype, _exact_dtype(bound))), runs, axis=2),
-                np.dtype(object))
-            stats[1] += len(live)
-            stats[3] = max(stats[3], _LADDER.index(t.dtype))
+    for b in graphs:  # each bicomponent, as a graph of its own
+        b_tails, b_heads, b_signs = b.arcs
+        # out-arcs of vertex u: heads and signs [out[u], out[u + 1])
+        out = np.searchsorted(b_tails, np.arange(b.vertex_count + 1))
+        for parent, verts, nb, block in size_classes(b, max_length):
+            k, h = verts.shape
+            if h == 1:  # a new block; class 0 is the empty set
+                mats = np.zeros((1, 0, 0), np.int8)
+                cyclic = np.zeros(1, bool)
+                traces = np.zeros((max_length, n_out, 1))
+                table[held] = 0
+                rank[inner] = -1
+                inner, m = block, len(block)
+                rank[inner] = np.arange(m)
+                if m * m > len(table):
+                    table = np.zeros(m * m, dtype=np.int8)
+                # the out-arcs of inner vertices that end at inner vertices
+                lo, hi = out[inner], out[inner + 1]
+                arc = _ranges(lo, hi)
+                col = rank[b_heads[arc]]
+                keep = col >= 0
+                held = (np.repeat(np.arange(m) * m, hi - lo) + col)[keep]
+                table[held] = b_signs[arc[keep]]
+                blocks += 1
+            # a class keeps the traces its children extend, degrees h+1..L
+            up_mats, mats = mats, np.zeros((k, h, h), np.int8)
+            up_traces, traces = traces, np.zeros((max_length - h, n_out, k))
+            cyclic = cyclic[parent]  # a parent's cycle lies in the subgraph
+            # bounds the lookup temporaries and the walk chains of one slice
+            step = max(1, _CHUNK_BYTES
+                       // (8 * n_out * (h + 2) * (h + max_length)))
+            grow = int(nb.max()) + 1 - sums[h].shape[2]
+            if grow > 0:
+                sums[h] = np.concatenate([sums[h], np.zeros(
+                    sums[h].shape[:2] + (grow,), dtype=object)], axis=2)
+            stats = tally[h]
+            stats[0] += k
+            stats[2] += -(-k // step)
+            for start in range(0, k, step):
+                p, rows, sub, cyc = (a[start:start + step] for a in
+                                     (parent, verts, mats, cyclic))
+                rows = rank[rows]
+                v = rows[:, -1:]
+                sub[:, :-1, :-1] = up_mats[p]
+                # the new vertex's out-arcs, then its in-arcs from the others
+                sub[:, -1] = table.take(v * m + rows)
+                sub[:, :-1, -1] = table.take(rows[:, :-1] * m + v)
+                todo = np.flatnonzero(~cyc)
+                if len(todo):
+                    cyc[todo] = _has_cycle(sub[todo])
+                # acyclic: a nilpotent matrix, whose traces stay 0
+                live = np.flatnonzero(cyc)
+                if not len(live):
+                    continue
+                live = live[np.argsort(nb[start + live], kind="stable")]
+                live_sub = sub[live]
+                absolute = np.abs(live_sub)
+                # einsum sums short int8 rows about twice as fast as .sum
+                r = int(np.einsum("kij->ki", absolute, dtype=np.int64).max())
+                t = _walk_traces(
+                    np.concatenate([live_sub] * signed
+                                   + [absolute] * unsigned), r,
+                    up_traces[:, :, p[live]].reshape(max_length - h + 1, -1),
+                    max_length, b.symmetric
+                ).reshape(max_length - h + 1, n_out, -1)
+                traces = _widen(traces, _wider(traces.dtype, t.dtype))
+                traces[:, :, start + live] = _widen(t[1:], traces.dtype)
+                # runs of equal neighbour count share their binomials
+                counts = nb[start + live]
+                runs = np.flatnonzero(np.diff(counts, prepend=-1))
+                bound = len(live) * h * r**max_length
+                sums[h][:, :, counts[runs]] += _widen(np.add.reduceat(
+                    _widen(t, _wider(t.dtype, _exact_dtype(bound))), runs,
+                    axis=2), np.dtype(object))
+                stats[1] += len(live)
+                stats[3] = max(stats[3], _LADDER.index(t.dtype))
     if _log.isEnabledFor(logging.DEBUG):
         for h, (k, live, slices, widest) in enumerate(tally):
             if k:
                 _log.debug("size %d: %d subgraphs, %d cyclic, %d slices, "
                            "widest trace dtype %s", h, k, live, slices,
                            _LADDER[widest] if widest >= 0 else "none")
+        inside = np.zeros(n, dtype=bool)
+        for part in parts:
+            inside[part] = True
+        _log.debug("%d bicomponents, %d of %d vertices, largest %d",
+                   len(parts), inside.sum(), n,
+                   max(map(len, parts), default=0))
         _log.debug("%d blocks, largest sign table %d bytes", blocks,
                    table.nbytes)
         _log.debug("unsigned series %s", "reused" if reused else
                    "computed" if unsigned else "not requested")
-    buckets = [[0] * (max_length + 1) for _ in range(n_out)]
+    # degree-l aggregates, l times the coefficients: lengths 1 and 2 from
+    # the arcs, longer ones from the bicomponents
+    short = _short_cycles(g)
+    buckets = [([0, loops, 2 * pairs] + [0] * max_length)[:max_length + 1]
+               for loops, pairs in [short[0]] * signed + [short[1]] * unsigned]
     for h, by_count in enumerate(sums):
         for count in range(by_count.shape[2]):
             # C(|N(H)|, l - h) vanishes for degrees beyond h + |N(H)|
-            for j in range(min(count, max_length - h) + 1):
+            for j in range(max(0, 3 - h), min(count, max_length - h) + 1):
                 coeff = (-1) ** j * math.comb(count, j)
                 for w in range(n_out):
                     buckets[w][h + j] += coeff * by_count[j, w, count]
@@ -540,7 +594,8 @@ def estimate_ratios(r: float | None) -> tuple[float | None, float | None]:
 
 
 def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
-    """R, U, K for lengths 1..3 via trace formulas (loops stripped for l >= 2).
+    """R, U, K for lengths 1..3: loops and antiparallel arc pairs from the
+    arcs, triangles from a trace formula (loops stripped).
 
     Agrees with cycle_census for l <= 3 on any graph, in O(m d) time for m
     arcs of out-degree at most d.  Every partial sum of the sparse int64
@@ -550,20 +605,19 @@ def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
     from scipy import sparse
 
     tails, heads, signs = g.arcs
-    loops, keep = signs[tails == heads], tails != heads
+    keep = tails != heads
     tails, heads, signs = tails[keep], heads[keep], signs[keep].astype(np.int64)
     d = int(np.bincount(tails, minlength=1).max())
     if len(tails) * d >= _INT64_EXACT:
         raise OverflowError(f"{len(tails)} arcs of out-degree up to {d}: "
                             f"Tr S^3 could exceed 2^62")
 
-    def weights(signs):
-        # a 2-cycle adds twice to Tr S^2, a directed triangle thrice to Tr S^3
+    def triangles(signs):
+        # a directed triangle adds thrice to Tr S^3
         s = sparse.csr_array((signs, (tails, heads)),
                              shape=(g.vertex_count,) * 2)
-        return [int(s.multiply(s.T).sum()) // 2,
-                int((s @ s).multiply(s.T).sum()) // 3]
+        return int((s @ s).multiply(s.T).sum()) // 3
 
+    (s1, s2), (u1, u2) = _short_cycles(g)
     return balance_table(CycleCensus.from_weights(
-        [int(loops.sum())] + weights(signs),
-        [len(loops)] + weights(np.abs(signs))))
+        [s1, s2, triangles(signs)], [u1, u2, triangles(np.abs(signs))]))

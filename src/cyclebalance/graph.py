@@ -4,11 +4,13 @@ Edges carry a weight of +1 (amity) or -1 (enmity).  An undirected network is
 stored as its symmetrized directed form: every undirected edge contributes
 both orientations with equal sign.
 
-Two views are derived once per graph: ``arcs``, read-only arrays of tails,
-heads and signs sorted by (tail, head), which every array consumer reads,
-and ``symmetric``, whether each arc has a reverse arc of equal sign.  The
-engine counts cycles on any digraph; ``symmetric`` only selects its y = x
-walk chains, and a graph flagged ``from_undirected`` must have it.
+Three views are derived once per graph: ``arcs``, read-only arrays of
+tails, heads and signs sorted by (tail, head), which every array consumer
+reads; ``symmetric``, whether each arc has a reverse arc of equal sign; and
+``bicomponents``, the vertex sets of the biconnected components of at least
+3 vertices, which hold every simple cycle of length >= 3.  The engine counts
+cycles on any digraph; ``symmetric`` only selects its y = x walk chains,
+and a graph flagged ``from_undirected`` must have it.
 """
 
 from __future__ import annotations
@@ -139,14 +141,71 @@ class SignedDigraph:
         """Whether every arc has a reverse arc of equal sign (A = A^T)."""
         return not len(self._unmatched_arcs())
 
-    def _unmatched_arcs(self) -> np.ndarray:
-        """Positions in ``arcs`` of the arcs without a reverse arc of equal
-        sign, found by binary search among the ascending keys tail n + head."""
-        tails, heads, signs = self.arcs
+    @cached_property
+    def bicomponents(self) -> tuple[np.ndarray, ...]:
+        """Vertex sets of the biconnected components of at least 3 vertices
+        of the underlying loopless undirected graph, as read-only sorted
+        int64 arrays ordered by their least vertex.
+
+        Every simple cycle of length >= 3, directed or not, lies in exactly
+        one of them.  Found by an iterative Hopcroft-Tarjan walk: a vertex
+        u closes a component with its child v in the depth-first tree when
+        no vertex of v's subtree has an edge to a vertex found before u,
+        low[v] >= disc[u].
+        """
+        und = self._und
+        disc, low = [0] * self.vertex_count, [0] * self.vertex_count
+        stack: list[int] = []  # visited vertices of open components
+        found = []
+        clock = 0
+        for root in range(self.vertex_count):
+            if disc[root] or not und[root]:
+                continue
+            clock += 1
+            disc[root] = low[root] = clock
+            # (vertex, its unscanned neighbours, its position in ``stack``)
+            walk = [(root, iter(und[root]), 0)]
+            while walk:
+                v, todo, at = walk[-1]
+                for w in todo:
+                    if not disc[w]:
+                        clock += 1
+                        disc[w] = low[w] = clock
+                        walk.append((w, iter(und[w]), len(stack)))
+                        stack.append(w)
+                        break
+                    low[v] = min(low[v], disc[w])
+                else:
+                    walk.pop()
+                    if not walk:
+                        continue
+                    u = walk[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        # v and the vertices pushed after it, with u
+                        if len(stack) - at >= 2:
+                            found.append(sorted(stack[at:] + [u]))
+                        del stack[at:]
+        views = tuple(np.array(c, dtype=np.int64) for c in sorted(found))
+        for a in views:
+            a.flags.writeable = False
+        return views
+
+    def _reverse_arcs(self) -> np.ndarray:
+        """Position in ``arcs`` of each arc's reverse arc, -1 where there is
+        none, found by binary search among the ascending keys tail n + head."""
+        tails, heads, _ = self.arcs
         n = self.vertex_count
         keys, back = tails * n + heads, heads * n + tails
         pos = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
-        return np.flatnonzero((keys[pos] != back) | (signs[pos] != signs))
+        return np.where(keys[pos] == back, pos, -1)
+
+    def _unmatched_arcs(self) -> np.ndarray:
+        """Positions in ``arcs`` of the arcs without a reverse arc of equal
+        sign."""
+        signs = self.arcs[2]
+        rev = self._reverse_arcs()
+        return np.flatnonzero((rev < 0) | (signs[rev] != signs))
 
     def adjacency(self, signed: bool = True, dtype=np.int64) -> np.ndarray:
         """Dense adjacency matrix A (signed) or |A| (unsigned)."""

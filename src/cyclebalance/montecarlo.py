@@ -47,6 +47,8 @@ class MonteCarloConfig:
             raise ValueError("samples_per_batch must be >= 1")
         if self.batches < 2:
             raise ValueError("need >= 2 batches for a defined deviation")
+        if self.max_length < 1:
+            raise ValueError(f"max_length must be >= 1, got {self.max_length}")
         if self.sample_size < self.max_length:
             raise ValueError(
                 f"sample_size {self.sample_size} < max_length "

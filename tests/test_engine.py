@@ -123,8 +123,10 @@ def test_engine_equals_oracle_across_mask_words(n):
 
 
 def test_censuses_equal_across_root_blocks(monkeypatch):
-    # one word a mask forces blocks of roots: blocks of several roots on the
-    # undirected graphs, wide single-root blocks on the directed ones
+    # one word a mask forces blocks of roots: wide single-root blocks on the
+    # directed graphs, whose bicomponents span more than 64 vertices, and
+    # blocks of several roots on an undirected ring with chords; the sparse
+    # undirected graphs' bicomponents fit one word, so one block each
     rng = random.Random(0)
     graphs = [random_signed_digraph(rng, edge_prob=p, loop_prob=0.05,
                                     undirected=undirected, vertices=n)
@@ -138,11 +140,35 @@ def test_censuses_equal_across_root_blocks(monkeypatch):
         if u != v and rng.random() < 0.5:
             mixed[(v, u)] = -s
     graphs.append(SignedDigraph(70, mixed))
+    ring = {}
+    for u in range(150):
+        if rng.random() < 0.05:
+            ring[(u, u)] = rng.choice((1, -1))
+        chords = [2] if rng.random() < 0.3 else []
+        for v in ((u + step) % 150 for step in [1] + chords):
+            ring[(u, v)] = ring[(v, u)] = rng.choice((1, -1))
+    graphs.append(SignedDigraph(150, ring, from_undirected=True))
     one_block = [cycle_census(g, 5) for g in graphs]
+    # spy: the root count of each block, per census
+    roots, classes = [], engine.size_classes
+
+    def classes_spy(g, max_size):
+        for c in classes(g, max_size):
+            if c.verts.shape[1] == 1:
+                roots[-1].append(len(c.verts))
+            yield c
+
+    monkeypatch.setattr(engine, "size_classes", classes_spy)
     monkeypatch.setattr(subgraphs, "_WORD_BUDGET", 1)
-    blocks = [cycle_census(g, 5) for g in graphs]
+    blocks = []
+    for g in graphs:
+        roots.append([])
+        blocks.append(cycle_census(g, 5))
     assert blocks == one_block
-    assert blocks[-1] == brute_force_census(graphs[-1], 5)
+    assert blocks[4] == brute_force_census(graphs[4], 5)
+    assert [len(r) > 1 for r in roots] == [True, False, True, False, True,
+                                           True]
+    assert max(roots[-1]) > 1
 
 
 def test_adversarial_graphs_run_clean():
@@ -158,6 +184,74 @@ def test_adversarial_graphs_run_clean():
         g = parse_edge_list(text)
         c = cycle_census(g, g.vertex_count + 2)
         assert c == brute_force_census(g, g.vertex_count + 2)
+
+
+def _glued_blocks(rng, undirected):
+    """Random blocks glued at cut vertices, with pendant trees: each block,
+    a cycle with chords, starts at a vertex already placed, and each tree
+    vertex hangs off one; some vertices carry loops."""
+    pairs, n = [], 1
+    for _ in range(rng.randint(1, 4)):
+        verts = [rng.randrange(n)] + list(range(n, n + rng.randint(2, 4)))
+        n = verts[-1] + 1
+        pairs += zip(verts, verts[1:] + verts[:1])
+        pairs += [(u, v) for u in verts for v in verts
+                  if u < v and rng.random() < 0.3]
+    for _ in range(rng.randint(0, 5)):
+        pairs.append((rng.randrange(n), n))
+        n += 1
+    edges = {(u, u): rng.choice((1, -1)) for u in range(n)
+             if rng.random() < 0.2}
+    for u, v in pairs:
+        arcs = ((u, v), (v, u)) if undirected else rng.choice(
+            (((u, v),), ((v, u),), ((u, v), (v, u))))
+        sign = rng.choice((1, -1))
+        for arc in arcs:
+            edges[arc] = sign if undirected else rng.choice((1, -1))
+    return SignedDigraph(n, edges, from_undirected=undirected)
+
+
+def test_census_equals_oracle_on_glued_blocks(rng):
+    # two triangles glued at a cut vertex that carries a loop, counted once
+    # and not once per bicomponent, and a bridge whose antiparallel arcs
+    # of opposite signs are a negative 2-cycle outside every bicomponent
+    fixed = parse_edge_list("0 0 -1\n0 1 1\n1 2 1\n2 0 1\n0 3 1\n3 4 -1\n"
+                            "4 0 1\n4 5 1\n5 4 -1\n5 6 1")
+    assert [c.tolist() for c in fixed.bicomponents] == [[0, 1, 2], [0, 3, 4]]
+    census = cycle_census(fixed, 8)
+    assert (census.positive[:3], census.negative[:3]) == ((0, 0, 1),
+                                                           (1, 1, 1))
+    graphs = [fixed] + [_glued_blocks(rng, undirected)
+                        for undirected in [False] * 40 + [True] * 20]
+    assert sum(len(g.bicomponents) > 1 for g in graphs) > 20
+    for g in graphs:
+        for L in (1, 2, 3, g.vertex_count + 1):
+            assert cycle_census(g, L) == brute_force_census(g, L), (g, L)
+
+
+def test_only_bicomponents_are_enumerated(monkeypatch):
+    # spy: the graphs the engine enumerates, and their subgraph counts
+    enumerated, classes = [], engine.size_classes
+
+    def classes_spy(g, max_size):
+        enumerated.append([g.edges, 0])
+        for c in classes(g, max_size):
+            enumerated[-1][1] += len(c.verts)
+            yield c
+
+    monkeypatch.setattr(engine, "size_classes", classes_spy)
+    # a triangle 0-1-2 with the pendant tree 2-3, 3-4, 3-5
+    g = parse_edge_list("0 1 1\n1 2 -1\n2 0 1\n2 3 1\n3 4 -1\n3 5 1",
+                        undirected=True)
+    assert cycle_census(g, 6) == brute_force_census(g, 6)
+    triangle = parse_edge_list("0 1 1\n1 2 -1\n2 0 1", undirected=True)
+    assert enumerated == [[triangle.edges, 7]]
+    # lengths 1 and 2 come from the arcs alone
+    enumerated.clear()
+    for L in (1, 2):
+        assert cycle_census(g, L) == brute_force_census(g, L)
+        assert cycle_census(triangle, L) == brute_force_census(triangle, L)
+    assert enumerated == []
 
 
 def test_relabeling_invariance(rng):
@@ -312,13 +406,17 @@ def test_recurrence_dtype_tiers_match_oracle(monkeypatch, widened, rng):
                        np.dtype(object)}
 
 
-@pytest.mark.parametrize("size, longest", [(20, 17), (22, 18)])
-def test_engine_equals_oracle_at_l20_on_samples(size, longest):
+@pytest.mark.parametrize("size, longest, seed", [
+    pytest.param(20, 17, [5, 0], id="20-17"),
+    pytest.param(22, 18, [5, 0], id="22-18"),
+    pytest.param(24, 18, [13, 0, 0, 0], id="24-18")])
+def test_engine_equals_oracle_at_l20_on_samples(size, longest, seed):
     # snowball samples of criterion 8's clustered graph, the first lengths
-    # past 16 that any test reaches
+    # past 16 that any test reaches; the 24-vertex one has 1,165,836
+    # connected subgraphs, most of them across its bridges and pendant trees
     g = clustered_graph(42, 7)
     vertices, _ = sample_connected_vertex_set(
-        g, np.random.default_rng([5, 0]), size)
+        g, np.random.default_rng(seed), size)
     sample, _ = g.induced_subgraph(vertices)
     census = cycle_census(sample, 20)
     assert census == brute_force_census(sample, 20)
@@ -332,31 +430,36 @@ def test_debug_records_per_size(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="cyclebalance.engine"):
         cycle_census(g, 4)
         cycle_census(TRIAD, 3)
+    # the pendant vertex 3 and its loop lie outside the one bicomponent, the
+    # directed triangle, so only the triangle's subsets are enumerated
     assert [r.getMessage() for r in caplog.records] == [
-        "size 1: 4 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
-        "size 2: 4 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
-        "size 3: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
-        "size 4: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
-        "1 blocks, largest sign table 16 bytes",
+        "size 1: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
+        "size 2: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
+        "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "1 bicomponents, 3 of 4 vertices, largest 3",
+        "1 blocks, largest sign table 9 bytes",
         # the first census of g, before the capture, computed it
         "unsigned series reused",
         "size 1: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
         "size 2: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
         "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "1 bicomponents, 3 of 3 vertices, largest 3",
         "1 blocks, largest sign table 9 bytes",
         "unsigned series computed",
     ]
-    # one word a mask splits a 130-vertex path at L=3 into root blocks
-    # 0, 1-16, 17-67, 68-124 and 125-129; the fourth has 61 inner vertices
+    # one word a mask splits a 130-vertex ring, one bicomponent, at L=3 into
+    # root blocks 0, 1-9, 10-47, 48-102 and 103-129; the fourth has 59 inner
+    # vertices
     monkeypatch.setattr(subgraphs, "_WORD_BUDGET", 1)
-    path = {}
-    for u in range(129):
-        path[(u, u + 1)] = path[(u + 1, u)] = 1
+    ring = {}
+    for u in range(130):
+        ring[(u, (u + 1) % 130)] = ring[((u + 1) % 130, u)] = 1
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cyclebalance.engine"):
-        cycle_census(SignedDigraph(130, path, from_undirected=True), 3)
-    assert [r.getMessage() for r in caplog.records[-2:]] == [
-        "5 blocks, largest sign table 3721 bytes", "unsigned series computed"]
+        cycle_census(SignedDigraph(130, ring, from_undirected=True), 3)
+    assert [r.getMessage() for r in caplog.records[-3:]] == [
+        "1 bicomponents, 130 of 130 vertices, largest 130",
+        "5 blocks, largest sign table 3481 bytes", "unsigned series computed"]
 
 
 def test_unsigned_series_reused_until_topology_changes(monkeypatch):

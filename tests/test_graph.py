@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -201,3 +203,45 @@ def test_induced_subgraph_matches_definition(rng):
         assert dict(sub.edges) == {
             (i, j): g.edges[(u, v)] for i, u in enumerate(vs)
             for j, v in enumerate(vs) if (u, v) in g.edges}
+
+
+def test_bicomponents_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    several = isolated = 0
+    for undirected in [False] * 80 + [True] * 80:
+        # two random graphs side by side, joined by an edge or not
+        a, b = (random_signed_digraph(rng, max_vertices=10,
+                                      edge_prob=rng.choice((0.15, 0.3, 0.45)),
+                                      loop_prob=0.2, undirected=undirected)
+                for _ in range(2))
+        n = a.vertex_count + b.vertex_count
+        edges = dict(a.edges)
+        edges.update(((u + a.vertex_count, v + a.vertex_count), s)
+                     for (u, v), s in b.edges.items())
+        if rng.random() < 0.5:
+            u, v = rng.randrange(a.vertex_count), rng.randrange(n)
+            edges[(u, v)] = edges[(v, u)] = 1
+        g = SignedDigraph(n, edges)
+        und = nx.Graph()
+        und.add_nodes_from(range(n))
+        und.add_edges_from((u, v) for u, v in edges if u != v)
+        want = sorted(sorted(c) for c in nx.biconnected_components(und)
+                      if len(c) >= 3)
+        assert [c.tolist() for c in g.bicomponents] == want
+        assert all(c.dtype == np.int64 and not c.flags.writeable
+                   for c in g.bicomponents)
+        several += len(want) > 1
+        isolated += any(not und.degree(v) for v in und)
+    assert several > 20 and isolated > 20
+
+
+def test_bicomponents_of_a_long_ring_with_a_pendant_path():
+    # deeper than Python's recursion limit: the walk must not recurse
+    edges = {}
+    for u in range(4999):  # the path 0..4999
+        edges[(u, u + 1)] = edges[(u + 1, u)] = 1
+    edges[(4899, 0)] = edges[(0, 4899)] = 1  # closes the ring 0..4899
+    g = SignedDigraph(5000, edges, from_undirected=True)
+    (ring,) = g.bicomponents
+    assert ring.tolist() == list(range(4900))

@@ -24,6 +24,13 @@ def test_config_validation():
         run_monte_carlo(TRIAD, MonteCarloConfig(1, 2, 3, 3), workers=0)
 
 
+@pytest.mark.parametrize("sample_size, max_length", [(0, 0), (3, -1)])
+def test_config_rejects_max_length_below_one(sample_size, max_length):
+    # at construction, not later from a census in a worker process
+    with pytest.raises(ValueError, match="max_length must be >= 1"):
+        MonteCarloConfig(1, 2, sample_size, max_length)
+
+
 def test_snowball_forced_path():
     rng = np.random.default_rng(1)
     path = parse_edge_list("0 1 1\n1 2 1", undirected=True)
