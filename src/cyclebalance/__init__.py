@@ -1,7 +1,7 @@
 """Structural balance of signed directed networks from exact cycle counts."""
 
 from .engine import (BalanceRow, BalanceTable, CycleCensus, balance_table,
-                     cycle_census, cycle_polynomial, exact_low_order_ratios)
+                     cycle_census, exact_low_order_ratios)
 from .graph import SignedDigraph, load_edge_list, parse_edge_list
 from .montecarlo import (MonteCarloConfig, MonteCarloReport, convergence_loop,
                          run_monte_carlo)
@@ -10,6 +10,5 @@ from .oracle import brute_force_census, complete_graph_census, enumerate_simple_
 from .orbits import (hashimoto_matrix, mobius, primitive_orbit_counts,
                      stark_terras_orbit_walks, walk_ratios,
                      weighted_degree_of_balance)
-from .series import TruncatedSeries
 
 __version__ = "0.1.0"

@@ -39,12 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p: _Parser, *, needs_input: bool = True):
-    if needs_input:
-        p.add_argument("--input", required=True, help="edge-list file")
-        p.add_argument("--undirected", action="store_true",
-                       help="symmetrize the input")
-    p.add_argument("--max-length", type=int, default=20)
+def _add_common(p: _Parser, *, max_length: bool = True):
+    p.add_argument("--input", required=True, help="edge-list file")
+    p.add_argument("--undirected", action="store_true",
+                   help="symmetrize the input")
+    if max_length:
+        p.add_argument("--max-length", type=int, default=20)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="write here instead of stdout")
     p.add_argument("--timing", action="store_true",
@@ -83,7 +83,8 @@ def build_parser() -> _Parser:
 
     lowexact = sub.add_parser("lowexact",
                               help="trace-formula ratios for lengths 1..3")
-    _add_common(lowexact)
+    # its lengths are fixed at 1..3
+    _add_common(lowexact, max_length=False)
 
     null = sub.add_parser("null", help="independent-sign null model bands")
     _add_common(null)

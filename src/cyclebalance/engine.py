@@ -98,29 +98,27 @@ bounded as above by Tr |A|^l <= h r^l.  It serves ``orbits``: the signed
 and unsigned Hashimoto matrices (T, |T|) of the primitive-orbit census and
 the loopless adjacencies (A, |A|) of the closed-walk census, at any length.
 
-Reusing the unsigned series.  The unsigned weighting |A_H| counts the
-cycles of each length whatever their signs, so its series is a function of
-the arc set and L alone.  ``_series_pair`` keeps one entry: L, the tails
+Reusing the unsigned series.  The unsigned series, that of |A_H|, counts
+the cycles of each length whatever their signs, so it is a function of the
+arc set and L alone.  ``cycle_census`` keeps one entry: L, the tails
 and heads of the graph's read-only ``arcs``, sorted by (tail, head), which
 determine the arc set, and the unsigned series computed for them.  A later
-evaluation with the same L and arc arrays, compared in full, takes that
-series and traces only the signed stack, or, asked for the unsigned series
-alone, returns it without enumerating; any other topology computes both
-weightings in one pass and replaces the entry.  So repeat censuses of one
+census with the same L and arc arrays, compared in full, takes that series
+and traces only the signed stack; any other topology computes both
+series in one pass and replaces the entry.  So repeat censuses of one
 graph, and the sign shuffles of ``nullmodel.shuffle_null``, which permute
 signs over a fixed topology, trace |A_H| once.  The checks still run on
 every census: every series computed is checked for divisibility, and
 ``CycleCensus.from_weights`` checks the parity and magnitude of the fresh
 signed series against the reused unsigned one.  The entry holds 16 bytes
-per arc and L + 1 integers.
+per arc and L integers.
 
-Each evaluation logs one DEBUG record per subgraph size on the
+Each census logs one DEBUG record per subgraph size on the
 ``cyclebalance.engine`` logger: subgraphs, cyclic subgraphs, slices and the
 widest trace dtype; then the number of bicomponents, the vertices inside
 them and the size of the largest; then the block count and the largest sign
-table in bytes; and then whether the unsigned series was computed, reused
-or not requested.  An evaluation that only reuses the unsigned series logs
-that alone.
+table in bytes; and then whether the unsigned series was computed or
+reused.
 """
 
 from __future__ import annotations
@@ -133,7 +131,6 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import SignedDigraph
-from .series import TruncatedSeries
 from .subgraphs import _ranges, size_classes
 
 __all__ = [
@@ -141,7 +138,6 @@ __all__ = [
     "CycleCensus",
     "BalanceRow",
     "BalanceTable",
-    "cycle_polynomial",
     "cycle_census",
     "balance_table",
     "estimate_ratios",
@@ -283,10 +279,12 @@ def _widen(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
-def _finish(buckets, max_length: int) -> list[TruncatedSeries]:
+def _finish(buckets, max_length: int) -> list[list[int]]:
+    """The coefficients 1..L of each series from its degree-l aggregates
+    ``b[l]``, l times the coefficients; checks their divisibility."""
     out = []
     for b in buckets:
-        coeffs = [0] * (max_length + 1)
+        coeffs = []
         for ell in range(1, max_length + 1):
             agg = b[ell]
             if agg % ell:
@@ -294,8 +292,8 @@ def _finish(buckets, max_length: int) -> list[TruncatedSeries]:
                     f"degree-{ell} aggregate {agg} not divisible by {ell}; "
                     f"the subgraph accumulation is inconsistent"
                 )
-            coeffs[ell] = agg // ell
-        out.append(TruncatedSeries(max_length, tuple(coeffs)))
+            coeffs.append(agg // ell)
+        out.append(coeffs)
     return out
 
 
@@ -381,36 +379,31 @@ def _short_cycles(g: SignedDigraph) -> list[tuple[int, int]]:
     return [(int(loops.sum()), int(pairs.sum())), (len(loops), len(pairs))]
 
 
-def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
-                 unsigned: bool = True) -> list[TruncatedSeries]:
-    """Evaluate the generating function; returns the requested weightings.
+def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
+    """Exact per-length counts of positive and negative simple cycles.
 
-    One enumeration of each bicomponent serves both weightings.  Size
-    classes are assembled from their parents and a block-local sign table,
-    filtered and traced in slices (module docstring); trace sums per
-    (size, |N(H)|) are exact integers across blocks and bicomponents, and
-    the binomials are applied once at the end, from degree 3 on.  Lengths 1
-    and 2 come from the arcs.
+    Evaluates the generating function on the signed matrices A_H and the
+    unsigned |A_H|: N^+/- = (unsigned +/- signed)/2.  One enumeration of
+    each bicomponent serves both.  Size classes are assembled
+    from their parents and a block-local sign table, filtered and traced in
+    slices (module docstring); trace sums per (size, |N(H)|) are exact
+    integers across blocks and bicomponents, and the binomials are applied
+    once at the end, from degree 3 on.  Lengths 1 and 2 come from the arcs.
     The unsigned series of the last topology is reused, not traced again.
     """
     global _unsigned_entry
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    if not signed and not unsigned:
-        raise ValueError("request at least one weighting")
     n = g.vertex_count
     tails, heads, _ = g.arcs
     # read once: a concurrent replacement can cost a reuse, never mix
     # one entry's key with another's series
     entry = _unsigned_entry
-    reused = (unsigned and entry is not None and entry[0] == max_length
+    reused = (entry is not None and entry[0] == max_length
               and np.array_equal(entry[1], tails)
               and np.array_equal(entry[2], heads))
-    if reused and not signed:
-        _log.debug("unsigned series reused")
-        return [entry[3]]
-    unsigned = unsigned and not reused
-    n_out = int(signed) + int(unsigned)
+    # the stacks traced: signed, then unsigned unless reused
+    n_out = 2 - reused
     # cycles of length >= 3 are counted one bicomponent at a time
     parts = g.bicomponents
     if max_length < 3 or not parts:
@@ -426,7 +419,7 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
     table = np.zeros(0, dtype=np.int8)
     held = inner = tails[:0]
     blocks = 0
-    # sums[h][l - h, w, |N(H)|]: exact sums of Tr A_H^l per weighting w
+    # sums[h][l - h, w, |N(H)|]: exact sums of Tr A_H^l per stack w
     sums = [np.zeros((max_length - h + 1, n_out, 0), dtype=object)
             for h in range(max_length + 1)]
     # per size: subgraphs, cyclic subgraphs, slices, widest trace dtype
@@ -491,8 +484,7 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
                 # einsum sums short int8 rows about twice as fast as .sum
                 r = int(np.einsum("kij->ki", absolute, dtype=np.int64).max())
                 t = _walk_traces(
-                    np.concatenate([live_sub] * signed
-                                   + [absolute] * unsigned), r,
+                    np.concatenate([live_sub, absolute][:n_out]), r,
                     up_traces[:, :, p[live]].reshape(max_length - h + 1, -1),
                     max_length, b.symmetric
                 ).reshape(max_length - h + 1, n_out, -1)
@@ -521,13 +513,13 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
                    max(map(len, parts), default=0))
         _log.debug("%d blocks, largest sign table %d bytes", blocks,
                    table.nbytes)
-        _log.debug("unsigned series %s", "reused" if reused else
-                   "computed" if unsigned else "not requested")
+        _log.debug("unsigned series %s",
+                   "reused" if reused else "computed")
     # degree-l aggregates, l times the coefficients: lengths 1 and 2 from
     # the arcs, longer ones from the bicomponents
     short = _short_cycles(g)
     buckets = [([0, loops, 2 * pairs] + [0] * max_length)[:max_length + 1]
-               for loops, pairs in [short[0]] * signed + [short[1]] * unsigned]
+               for loops, pairs in short[:n_out]]
     for h, by_count in enumerate(sums):
         for count in range(by_count.shape[2]):
             # C(|N(H)|, l - h) vanishes for degrees beyond h + |N(H)|
@@ -538,32 +530,9 @@ def _series_pair(g: SignedDigraph, max_length: int, *, signed: bool = True,
     series = _finish(buckets, max_length)
     if reused:
         series.append(entry[3])
-    elif unsigned:
-        _unsigned_entry = (max_length, tails, heads, series[-1])
-    return series
-
-
-def cycle_polynomial(g: SignedDigraph, max_length: int,
-                     weighting: str = "signed") -> TruncatedSeries:
-    """Truncated generating function of simple cycles up to ``max_length``.
-
-    Coefficient l is the sum over simple cycles of length l of the product
-    of edge signs ('signed') or of 1 per cycle ('unsigned').
-    """
-    if weighting == "signed":
-        return _series_pair(g, max_length, signed=True, unsigned=False)[0]
-    if weighting == "unsigned":
-        return _series_pair(g, max_length, signed=False, unsigned=True)[0]
-    raise ValueError(f"unknown weighting {weighting!r}")
-
-
-def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
-    """Exact per-length counts of positive and negative simple cycles.
-
-    Combines the signed and unsigned runs: N^+/- = (unsigned +/- signed)/2.
-    """
-    sgn, uns = _series_pair(g, max_length, signed=True, unsigned=True)
-    return CycleCensus.from_weights(sgn.coefficients[1:], uns.coefficients[1:])
+    else:
+        _unsigned_entry = (max_length, tails, heads, series[1])
+    return CycleCensus.from_weights(*series)
 
 
 def _ratios(n_pos: int, n_neg: int):

@@ -2,7 +2,7 @@
 
 Under independent edge signs with negative probability p, a length-l cycle
 is negative iff it carries an odd number of negative edges; the binomial sum
-has the closed form (1 - (1-2p)^l) / 2, kept as an internal cross-check.
+over odd counts has the closed form (1 - (1-2p)^l) / 2.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ def null_ratio(p: float, length: int) -> float:
         raise ValueError("p must lie in [0, 1]")
     if length < 1:
         raise ValueError("length must be >= 1")
-    total = 0.0
-    for i in range(math.ceil(length / 2)):
-        k = 2 * i + 1
-        total += math.comb(length, k) * p ** k * (1 - p) ** (length - k)
-    return total
-
-
-def null_ratio_closed_form(p: float, length: int) -> float:
     return (1.0 - (1.0 - 2.0 * p) ** length) / 2.0
 
 

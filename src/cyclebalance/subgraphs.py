@@ -53,10 +53,10 @@ equals ``verts[parent[i]]`` of the same block's class h - 1, and the engine
 builds each subgraph's matrix from its parent's.  The counts a census sums
 do not depend on this order.
 
-``size_classes`` yields the classes.  ``connected_vertex_sets`` and
-``connected_induced_subgraphs`` list their rows as tuples or
-``SubgraphVisit`` objects, and ``enumerate_connected_induced_subgraphs``
-counts them, building a tuple only for a visitor.
+``size_classes`` yields the classes.  ``connected_induced_subgraphs``
+lists their rows as ``SubgraphVisit`` objects, and
+``enumerate_connected_induced_subgraphs`` counts them, building a visit
+only for a visitor.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import numpy as np
 from .graph import SignedDigraph
 
 __all__ = ["SubgraphVisit", "SizeClass", "size_classes",
-           "connected_vertex_sets", "connected_induced_subgraphs",
+           "connected_induced_subgraphs",
            "enumerate_connected_induced_subgraphs"]
 
 # uint64 words per vertex mask before roots are split into blocks: a block's
@@ -250,22 +250,16 @@ def _grow(indptr, indices, local, roots, universe, inner, max_size: int
                         inner)
 
 
-def connected_vertex_sets(g: SignedDigraph, max_size: int
-                          ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(vertices, |N(H)|)`` for every weakly connected induced vertex
-    set H with 1 <= |H| <= max_size: the rows of ``size_classes`` in order.
+def connected_induced_subgraphs(g: SignedDigraph, max_size: int
+                                ) -> Iterator[SubgraphVisit]:
+    """Yield a SubgraphVisit for every weakly connected induced vertex set H
+    with 1 <= |H| <= max_size: the rows of ``size_classes`` in order.
 
     ``vertices`` lists H in the order its vertices were added, root first.
     """
     for cls in size_classes(g, max_size):
-        yield from zip(map(tuple, cls.verts.tolist()), cls.nb.tolist())
-
-
-def connected_induced_subgraphs(g: SignedDigraph, max_size: int
-                                ) -> Iterator[SubgraphVisit]:
-    """``connected_vertex_sets`` with each visit wrapped in a SubgraphVisit."""
-    for vertices, neighbour_count in connected_vertex_sets(g, max_size):
-        yield SubgraphVisit(vertices, neighbour_count)
+        yield from map(SubgraphVisit, map(tuple, cls.verts.tolist()),
+                       cls.nb.tolist())
 
 
 def enumerate_connected_induced_subgraphs(

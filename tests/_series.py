@@ -1,4 +1,5 @@
-"""Exact-integer polynomial truncated at a fixed maximum degree.
+"""Exact-integer polynomial truncated at a fixed maximum degree: the
+algebra of the reference generating function in ``test_engine``.
 
 Coefficients are Python ints, so they never overflow: complete-graph cycle
 counts pass 3.5e17 by 20 vertices and intermediate sums grow well beyond

@@ -64,11 +64,21 @@ def test_montecarlo_workers_same_output(triad_file, capsys):
 
 def test_orbits_walks_lowexact(triad_file, capsys):
     for cmd in ("orbits", "walks", "lowexact"):
+        length = ("--max-length", "3") if cmd != "lowexact" else ()
         code, out, _ = run(capsys, cmd, "--input", str(triad_file),
-                           "--max-length", "3", "--format", "json")
+                           *length, "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["method"] in ("orbits", "walks", "exact")
+
+
+def test_lowexact_rejects_max_length(triad_file, capsys):
+    # its lengths are fixed at 1..3, so a longer one is not silently dropped
+    code, out, err = run(capsys, "lowexact", "--input", str(triad_file),
+                         "--max-length", "9")
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "--max-length" in err
 
 
 @pytest.mark.parametrize("cmd", ["census", "orbits", "walks"])

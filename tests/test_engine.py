@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from cyclebalance import engine, subgraphs
 from cyclebalance.engine import (CycleCensus, CycleEngineError, _exact_dtype,
                                  _has_cycle, balance_table, cycle_census,
-                                 cycle_polynomial, exact_low_order_ratios)
+                                 exact_low_order_ratios)
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.montecarlo import sample_connected_vertex_set
 from cyclebalance.oracle import brute_force_census, complete_graph_census
-from cyclebalance.series import TruncatedSeries
 from cyclebalance.subgraphs import connected_induced_subgraphs
+from _series import TruncatedSeries
 from _util import clustered_graph, random_signed_digraph
 
 TRIAD = parse_edge_list("0 1 1\n0 2 1\n1 2 -1", undirected=True)
@@ -23,7 +23,8 @@ TRIAD = parse_edge_list("0 1 1\n0 2 1\n1 2 -1", undirected=True)
 
 def reference_polynomial(g, max_length):
     """Independent slow path: polynomial-valued matrix products per subgraph,
-    expanding (I - zA)^|N(H)| by repeated truncated multiplication."""
+    expanding (I - zA)^|N(H)| by repeated truncated multiplication.
+    Coefficient l is N^+ - N^- of the cycles of length l."""
     n1 = max_length + 1
     bucket = [0] * n1
     for visit in connected_induced_subgraphs(g, max_length):
@@ -59,14 +60,21 @@ def reference_polynomial(g, max_length):
     return TruncatedSeries(max_length, tuple(coeffs))
 
 
+def _signed(census):
+    return tuple(census.n_pos(ell) - census.n_neg(ell)
+                 for ell in range(1, census.max_length + 1))
+
+
+def _unsigned(census):
+    return tuple(census.total(ell) for ell in range(1, census.max_length + 1))
+
+
 def test_k5_unsigned_coefficients():
-    p = cycle_polynomial(complete_graph(5), 5, "unsigned")
-    assert p.coefficients == (0, 0, 10, 20, 30, 24)
+    assert _unsigned(cycle_census(complete_graph(5), 5)) == (0, 10, 20, 30, 24)
 
 
 def test_triad_signed_coefficients():
-    p = cycle_polynomial(TRIAD, 3, "signed")
-    assert p.coefficients == (0, 0, 3, -2)
+    assert _signed(cycle_census(TRIAD, 3)) == (0, 3, -2)
 
 
 def test_triad_census_matches_figure():
@@ -81,16 +89,31 @@ def test_all_positive_complete_graph_has_no_negatives():
     assert [c.total(l) for l in (2, 3, 4)] == [6, 8, 6]
 
 
-def test_parity_between_weightings(rng):
+def test_parity_between_weightings(rng, monkeypatch):
+    # the engine's own signed and unsigned series, before the census checks
+    # them against each other
+    series = []
+    finish = engine._finish
+
+    def finish_spy(buckets, max_length):
+        series.append(finish(buckets, max_length))
+        return series[-1]
+
+    monkeypatch.setattr(engine, "_finish", finish_spy)
     for _ in range(20):
         g = random_signed_digraph(rng, max_vertices=7, edge_prob=0.35,
                                   loop_prob=0.1)
         L = g.vertex_count
-        s = cycle_polynomial(g, L, "signed")
-        u = cycle_polynomial(g, L, "unsigned")
-        for ell in range(1, L + 1):
-            assert (u.coefficient(ell) - abs(s.coefficient(ell))) % 2 == 0
-            assert u.coefficient(ell) >= abs(s.coefficient(ell))
+        c = cycle_census(g, L)
+        s, u = series[-1]
+        assert (tuple(s), tuple(u)) == (_signed(c), _unsigned(c))
+        for ell in range(L):
+            assert (u[ell] - abs(s[ell])) % 2 == 0
+            assert u[ell] >= abs(s[ell])
+    with pytest.raises(CycleEngineError, match="parity or magnitude"):
+        CycleCensus.from_weights([1, 2], [1, 1])
+    with pytest.raises(CycleEngineError, match="parity or magnitude"):
+        CycleCensus.from_weights([0, 1], [2, 2])
 
 
 def test_engine_matches_polynomial_reference(rng):
@@ -98,9 +121,12 @@ def test_engine_matches_polynomial_reference(rng):
         g = random_signed_digraph(rng, max_vertices=6, edge_prob=0.4,
                                   loop_prob=0.15)
         L = rng.randint(1, g.vertex_count + 1)
-        fast = cycle_polynomial(g, L, "signed")
-        slow = reference_polynomial(g, L)
-        assert fast.coefficients == slow.coefficients
+        # |A|: the same arcs, every sign +1
+        unsigned = SignedDigraph(g.vertex_count, dict.fromkeys(g.edges, 1))
+        census = cycle_census(g, L)
+        assert _signed(census) == reference_polynomial(g, L).coefficients[1:]
+        assert _unsigned(census) == reference_polynomial(
+            unsigned, L).coefficients[1:]
 
 
 def test_engine_equals_oracle_on_random_graphs(rng):
@@ -486,26 +512,17 @@ def test_unsigned_series_reused_until_topology_changes(monkeypatch):
     assert cycle_census(g, 5) == first
     flipped = SignedDigraph(4, {uv: -s for uv, s in g.edges.items()})
     assert cycle_census(flipped, 5) == brute_force_census(flipped, 5)
-    assert traced == [2, 1, 1]
-    # the unsigned series alone: no enumeration at all
-    unsigned = cycle_polynomial(g, 5, "unsigned")
-    assert unsigned.coefficients[1:] == tuple(first.total(l) for l in
-                                              range(1, 6))
     assert traced == [2, 1, 1] and len(enumerated) == 3
-    # a signed-only evaluation keeps the entry
-    cycle_polynomial(other, 5, "signed")
-    assert cycle_census(g, 5) == first and traced == [2, 1, 1, 1, 1]
     # another topology evicts it: g is traced in both weightings again
     assert cycle_census(other, 5) == brute_force_census(other, 5)
     assert cycle_census(g, 5) == first
-    assert traced == [2, 1, 1, 1, 1, 2, 2]
+    assert traced == [2, 1, 1, 2, 2]
 
 
 def test_census_validation():
-    with pytest.raises(ValueError):
-        cycle_census(complete_graph(3), 0)
-    with pytest.raises(ValueError):
-        cycle_polynomial(complete_graph(3), 3, "weird")
+    for max_length in (0, -1):
+        with pytest.raises(ValueError, match="max_length must be >= 1"):
+            cycle_census(complete_graph(3), max_length)
 
 
 @pytest.mark.parametrize("signed, unsigned", [([1, 0, 2], [1, 2, 2, 5]),

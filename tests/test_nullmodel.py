@@ -16,7 +16,7 @@ from cyclebalance.graph import SignedDigraph, parse_edge_list
 from cyclebalance.nullmodel import (CorrelationFit, _shuffled_graph,
                                     default_fit_range, fit_correlation_length,
                                     model_ratio, null_band, null_ratio,
-                                    null_ratio_closed_form, shuffle_null)
+                                    shuffle_null)
 from cyclebalance.oracle import brute_force_census
 from _util import random_signed_digraph
 
@@ -28,10 +28,16 @@ def test_null_ratio_endpoints():
     assert null_ratio(0.1, 2) == pytest.approx(0.18, abs=1e-12)
 
 
+def _odd_negative_probability(p, ell):
+    """The binomial sum: an odd number of the ell signs is negative."""
+    return sum(math.comb(ell, k) * p ** k * (1 - p) ** (ell - k)
+               for k in range(1, ell + 1, 2))
+
+
 @given(st.floats(min_value=0, max_value=1), st.integers(min_value=1, max_value=40))
 def test_null_ratio_matches_closed_form(p, ell):
     assert null_ratio(p, ell) == pytest.approx(
-        null_ratio_closed_form(p, ell), abs=1e-12)
+        _odd_negative_probability(p, ell), abs=1e-12)
 
 
 @given(st.floats(min_value=0.01, max_value=0.49))

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from cyclebalance.series import TruncatedSeries
+from _series import TruncatedSeries
 
 coeff_lists = st.lists(st.integers(min_value=-10**20, max_value=10**20),
                        min_size=1, max_size=9)

@@ -11,7 +11,6 @@ from cyclebalance.datasets import load_gahuku_gama
 from cyclebalance.engine import cycle_census
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.subgraphs import (connected_induced_subgraphs,
-                                    connected_vertex_sets,
                                     enumerate_connected_induced_subgraphs,
                                     size_classes)
 from _util import random_signed_digraph
@@ -128,9 +127,8 @@ _GOLDEN_SETS = {
 
 
 def _visit_digest(g, max_size):
-    visits = sorted((tuple(sorted(vertices)), neighbour_count)
-                    for vertices, neighbour_count
-                    in connected_vertex_sets(g, max_size))
+    visits = sorted((tuple(sorted(visit.vertices)), visit.neighbour_count)
+                    for visit in connected_induced_subgraphs(g, max_size))
     h = hashlib.sha256()
     for vertices, neighbour_count in visits:
         h.update(f"{vertices}:{neighbour_count};".encode())
