@@ -11,7 +11,6 @@ from __future__ import annotations
 import gzip
 import os
 import shutil
-import urllib.request
 from importlib import resources
 from pathlib import Path
 
@@ -56,6 +55,8 @@ def fetch_snap(name: str, dest: Path | None = None, timeout: float = 60.0
     'src dst sign' text compatible with load_edge_list.  ``timeout`` bounds
     each blocking step of the connection, in seconds.
     """
+    import urllib.request  # only a download needs it; it is slow to import
+
     if name not in SNAP_URLS:
         raise KeyError(f"unknown dataset {name!r}; choose from {sorted(SNAP_URLS)}")
     dest = dest or snap_path(name)

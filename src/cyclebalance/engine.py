@@ -24,13 +24,19 @@ bicomponent, ``SignedDigraph.bicomponents``.  A subgraph that runs through
 a bridge or a pendant tree holds no such cycle.  An edge whose two ends lie
 in a bicomponent belongs to it, so each bicomponent is an induced subgraph
 and its own series counts, from degree 3 on, exactly the cycles of G of
-those lengths that lie in it.  The engine sums over the subgraphs of each
-bicomponent in turn, with |N(H)| taken within it, into the same sums; a
-graph that is one bicomponent is enumerated as it is, and nothing is
-enumerated when L <= 2 or when there is no bicomponent.  Lengths 1 and 2,
-loops and pairs of antiparallel arcs, may lie on a cut vertex or a bridge,
-outside every bicomponent or in several; they are read from ``g.arcs``, so
-each counts once.
+those lengths that lie in it.  So the engine enumerates the bicomponents
+laid side by side as one packed graph (``subgraphs.pack``): each takes a
+range of ids of its own, a cut vertex is copied into every bicomponent
+that holds it, and loops are dropped, which changes no count of length
+>= 3.  The packed graph's arcs and adjacency are built in numpy from
+``g.arcs``, and one ``size_classes`` run enumerates it in groups of
+consecutive bicomponents of at most 64 vertices, one mask word, a larger
+bicomponent forming a group of its own; its subgraphs are those of the
+bicomponents, with |N(H)| taken within one, summed into the same sums.
+Nothing is enumerated when L <= 2 or when there is no bicomponent.
+Lengths 1 and 2, loops and pairs of antiparallel arcs, may lie on a cut
+vertex or a bridge, outside every bicomponent or in several; they are read
+from ``g.arcs``, so each counts once.
 
 Exactness.  Subgraphs of one size h are processed in slices.  Let r be the
 largest row sum of |A_H| over a slice.  The row sums of |A_H|^k are at most
@@ -39,12 +45,14 @@ partial sum formed while multiplying by A_H, or while summing a trace,
 adds a subset of the terms of the matching entry or trace of |A_H|, so its
 magnitude is bounded by the unsigned value, whatever the order of
 summation; a sum of the traces of k subgraphs is bounded by k h r^l.  All
-values are integers, so float64 arithmetic is exact while the bound is
-below 2^53, int64 arithmetic while it is below 2^62, and object (Python
-int) arithmetic always.  Each array is computed in the cheapest of these
-that its bound allows, and is only ever cast up that ladder: a float64
-array is widened to int64 before object, so an object array never holds
-floats.
+values are integers, and a float format with a p-bit significand holds
+every integer of magnitude up to 2^p, so a sum or product of such integers
+that stays below 2^p in magnitude is exact.  Hence four rungs: float32
+arithmetic is exact while the bound is below 2^24, float64 while it is
+below 2^53, int64 while it is below 2^62, and object (Python int)
+arithmetic always.  Each array is computed in the cheapest of these that
+its bound allows, and is only ever cast up that ladder: a float array is
+widened to int64 before object, so an object array never holds floats.
 
 Traces along the ESU tree.  Each subgraph H is its parent P, H without its
 last vertex w, plus w: A_H = [[A_P, c], [u, a]].  Its traces are the
@@ -116,9 +124,9 @@ per arc and L integers.
 Each census logs one DEBUG record per subgraph size on the
 ``cyclebalance.engine`` logger: subgraphs, cyclic subgraphs, slices and the
 widest trace dtype; then the number of bicomponents, the vertices inside
-them and the size of the largest; then the block count and the largest sign
-table in bytes; and then whether the unsigned series was computed or
-reused.
+them and the size of the largest; then the packing's group count, the
+block count and the largest sign table in bytes; and then whether the
+unsigned series was computed or reused.
 """
 
 from __future__ import annotations
@@ -131,7 +139,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import SignedDigraph
-from .subgraphs import _ranges, size_classes
+from .subgraphs import _ranges, pack, size_classes
 
 __all__ = [
     "CycleEngineError",
@@ -145,10 +153,12 @@ __all__ = [
 ]
 
 # integers and partial sums below these magnitudes are exact in the dtype
+_FLOAT32_EXACT = 2**24
 _FLOAT64_EXACT = 2**53
 _INT64_EXACT = 2**62
 # exact dtypes, narrowest first: an array is only ever cast up this ladder
-_LADDER = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(object))
+_LADDER = (np.dtype(np.float32), np.dtype(np.float64), np.dtype(np.int64),
+           np.dtype(object))
 # bytes of the temporaries of one slice of a size class
 _CHUNK_BYTES = 1 << 21
 
@@ -256,6 +266,8 @@ def _has_cycle(mats: np.ndarray) -> np.ndarray:
 def _exact_dtype(bound: int) -> np.dtype:
     """Cheapest dtype whose arithmetic is exact on integers whose magnitude,
     and that of every partial sum, stays below ``bound``."""
+    if bound < _FLOAT32_EXACT:
+        return np.dtype(np.float32)
     if bound < _FLOAT64_EXACT:
         return np.dtype(np.float64)
     if bound < _INT64_EXACT:
@@ -264,17 +276,18 @@ def _exact_dtype(bound: int) -> np.dtype:
 
 
 def _wider(*dtypes: np.dtype) -> np.dtype:
-    """The latest of some exact dtypes on the ladder float64, int64, object."""
+    """The latest of some exact dtypes on the ladder float32, float64,
+    int64, object."""
     return max(dtypes, key=_LADDER.index)
 
 
 def _widen(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """Cast an integer-valued array to an exact dtype at least as wide.
 
-    float64 goes through int64: cast straight to object it would hold
-    floats, whose products round.
+    A float goes through int64 to object: cast straight there it would
+    hold floats, whose products round.
     """
-    if a.dtype == np.float64 and dtype != np.float64:
+    if a.dtype.kind == "f" and dtype.kind != "f":
         a = a.astype(np.int64)
     return a.astype(dtype, copy=False)
 
@@ -351,7 +364,7 @@ def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
     if symmetric:  # then y_a = x_a
         ys = xs
     # g_m: first-return walks at the new vertex; d_l: closed walks through it
-    g = np.zeros((max_length + 1, mats.shape[2]))
+    g = np.zeros((max_length + 1, mats.shape[2]), _LADDER[0])
     d = np.zeros_like(g)
     g[1] = mats[-1, -1]
     for ell in range(1, max_length + 1):
@@ -384,7 +397,7 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
 
     Evaluates the generating function on the signed matrices A_H and the
     unsigned |A_H|: N^+/- = (unsigned +/- signed)/2.  One enumeration of
-    each bicomponent serves both.  Size classes are assembled
+    the bicomponents, side by side, serves both.  Size classes are assembled
     from their parents and a block-local sign table, filtered and traced in
     slices (module docstring); trace sums per (size, |N(H)|) are exact
     integers across blocks and bicomponents, and the binomials are applied
@@ -404,18 +417,15 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
               and np.array_equal(entry[2], heads))
     # the stacks traced: signed, then unsigned unless reused
     n_out = 2 - reused
-    # cycles of length >= 3 are counted one bicomponent at a time
+    # cycles of length >= 3 are counted on the bicomponents side by side
     parts = g.bicomponents
-    if max_length < 3 or not parts:
-        graphs = ()
-    elif len(parts) == 1 and len(parts[0]) == n:
-        graphs = (g,)
-    else:
-        graphs = (g.induced_subgraph(part.tolist())[0] for part in parts)
+    packed = pack(g, parts if max_length >= 3 else ())
+    # out-arcs of packed vertex u: heads and signs [out[u], out[u + 1])
+    out = np.searchsorted(packed.tails, np.arange(packed.bounds[-1] + 1))
     # table[rank[u] * m + rank[v]] = sign(u -> v) over the m inner vertices
     # of the current block; ``held`` lists the entries set, to clear before
     # the next block
-    rank = np.full(n, -1, dtype=np.int64)
+    rank = np.full(packed.bounds[-1], -1, dtype=np.int64)
     table = np.zeros(0, dtype=np.int8)
     held = inner = tails[:0]
     blocks = 0
@@ -424,81 +434,80 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
             for h in range(max_length + 1)]
     # per size: subgraphs, cyclic subgraphs, slices, widest trace dtype
     tally = [[0, 0, 0, -1] for _ in range(max_length + 1)]
-    for b in graphs:  # each bicomponent, as a graph of its own
-        b_tails, b_heads, b_signs = b.arcs
-        # out-arcs of vertex u: heads and signs [out[u], out[u + 1])
-        out = np.searchsorted(b_tails, np.arange(b.vertex_count + 1))
-        for parent, verts, nb, block in size_classes(b, max_length):
-            k, h = verts.shape
-            if h == 1:  # a new block; class 0 is the empty set
-                mats = np.zeros((1, 0, 0), np.int8)
-                cyclic = np.zeros(1, bool)
-                traces = np.zeros((max_length, n_out, 1))
-                table[held] = 0
-                rank[inner] = -1
-                inner, m = block, len(block)
-                rank[inner] = np.arange(m)
-                if m * m > len(table):
-                    table = np.zeros(m * m, dtype=np.int8)
-                # the out-arcs of inner vertices that end at inner vertices
-                lo, hi = out[inner], out[inner + 1]
-                arc = _ranges(lo, hi)
-                col = rank[b_heads[arc]]
-                keep = col >= 0
-                held = (np.repeat(np.arange(m) * m, hi - lo) + col)[keep]
-                table[held] = b_signs[arc[keep]]
-                blocks += 1
-            # a class keeps the traces its children extend, degrees h+1..L
-            up_mats, mats = mats, np.zeros((k, h, h), np.int8)
-            up_traces, traces = traces, np.zeros((max_length - h, n_out, k))
-            cyclic = cyclic[parent]  # a parent's cycle lies in the subgraph
-            # bounds the lookup temporaries and the walk chains of one slice
-            step = max(1, _CHUNK_BYTES
-                       // (8 * n_out * (h + 2) * (h + max_length)))
-            grow = int(nb.max()) + 1 - sums[h].shape[2]
-            if grow > 0:
-                sums[h] = np.concatenate([sums[h], np.zeros(
-                    sums[h].shape[:2] + (grow,), dtype=object)], axis=2)
-            stats = tally[h]
-            stats[0] += k
-            stats[2] += -(-k // step)
-            for start in range(0, k, step):
-                p, rows, sub, cyc = (a[start:start + step] for a in
-                                     (parent, verts, mats, cyclic))
-                rows = rank[rows]
-                v = rows[:, -1:]
-                sub[:, :-1, :-1] = up_mats[p]
-                # the new vertex's out-arcs, then its in-arcs from the others
-                sub[:, -1] = table.take(v * m + rows)
-                sub[:, :-1, -1] = table.take(rows[:, :-1] * m + v)
-                todo = np.flatnonzero(~cyc)
-                if len(todo):
-                    cyc[todo] = _has_cycle(sub[todo])
-                # acyclic: a nilpotent matrix, whose traces stay 0
-                live = np.flatnonzero(cyc)
-                if not len(live):
-                    continue
-                live = live[np.argsort(nb[start + live], kind="stable")]
-                live_sub = sub[live]
-                absolute = np.abs(live_sub)
-                # einsum sums short int8 rows about twice as fast as .sum
-                r = int(np.einsum("kij->ki", absolute, dtype=np.int64).max())
-                t = _walk_traces(
-                    np.concatenate([live_sub, absolute][:n_out]), r,
-                    up_traces[:, :, p[live]].reshape(max_length - h + 1, -1),
-                    max_length, b.symmetric
-                ).reshape(max_length - h + 1, n_out, -1)
-                traces = _widen(traces, _wider(traces.dtype, t.dtype))
-                traces[:, :, start + live] = _widen(t[1:], traces.dtype)
-                # runs of equal neighbour count share their binomials
-                counts = nb[start + live]
-                runs = np.flatnonzero(np.diff(counts, prepend=-1))
-                bound = len(live) * h * r**max_length
-                sums[h][:, :, counts[runs]] += _widen(np.add.reduceat(
-                    _widen(t, _wider(t.dtype, _exact_dtype(bound))), runs,
-                    axis=2), np.dtype(object))
-                stats[1] += len(live)
-                stats[3] = max(stats[3], _LADDER.index(t.dtype))
+    # no arc: L <= 2, or no bicomponent
+    classes = size_classes(packed, max_length) if len(packed.tails) else ()
+    for parent, verts, nb, block in classes:
+        k, h = verts.shape
+        if h == 1:  # a new block; class 0 is the empty set
+            mats = np.zeros((1, 0, 0), np.int8)
+            cyclic = np.zeros(1, bool)
+            traces = np.zeros((max_length, n_out, 1), _LADDER[0])
+            table[held] = 0
+            rank[inner] = -1
+            inner, m = block, len(block)
+            rank[inner] = np.arange(m)
+            if m * m > len(table):
+                table = np.zeros(m * m, dtype=np.int8)
+            # the out-arcs of inner vertices that end at inner vertices
+            lo, hi = out[inner], out[inner + 1]
+            arc = _ranges(lo, hi)
+            col = rank[packed.heads[arc]]
+            keep = col >= 0
+            held = (np.repeat(np.arange(m) * m, hi - lo) + col)[keep]
+            table[held] = packed.signs[arc[keep]]
+            blocks += 1
+        # a class keeps the traces its children extend, degrees h+1..L
+        up_mats, mats = mats, np.zeros((k, h, h), np.int8)
+        up_traces, traces = traces, np.zeros((max_length - h, n_out, k),
+                                             _LADDER[0])
+        cyclic = cyclic[parent]  # a parent's cycle lies in the subgraph
+        # bounds the lookup temporaries and the walk chains of one slice
+        step = max(1, _CHUNK_BYTES
+                   // (8 * n_out * (h + 2) * (h + max_length)))
+        grow = int(nb.max()) + 1 - sums[h].shape[2]
+        if grow > 0:
+            sums[h] = np.concatenate([sums[h], np.zeros(
+                sums[h].shape[:2] + (grow,), dtype=object)], axis=2)
+        stats = tally[h]
+        stats[0] += k
+        stats[2] += -(-k // step)
+        for start in range(0, k, step):
+            p, rows, sub, cyc = (a[start:start + step] for a in
+                                 (parent, verts, mats, cyclic))
+            rows = rank[rows]
+            v = rows[:, -1:]
+            sub[:, :-1, :-1] = up_mats[p]
+            # the new vertex's out-arcs, then its in-arcs from the others
+            sub[:, -1] = table.take(v * m + rows)
+            sub[:, :-1, -1] = table.take(rows[:, :-1] * m + v)
+            todo = np.flatnonzero(~cyc)
+            if len(todo):
+                cyc[todo] = _has_cycle(sub[todo])
+            # acyclic: a nilpotent matrix, whose traces stay 0
+            live = np.flatnonzero(cyc)
+            if not len(live):
+                continue
+            live = live[np.argsort(nb[start + live], kind="stable")]
+            live_sub = sub[live]
+            absolute = np.abs(live_sub)
+            # einsum sums short int8 rows about twice as fast as .sum
+            r = int(np.einsum("kij->ki", absolute, dtype=np.int64).max())
+            t = _walk_traces(
+                np.concatenate([live_sub, absolute][:n_out]), r,
+                up_traces[:, :, p[live]].reshape(max_length - h + 1, -1),
+                max_length, g.symmetric
+            ).reshape(max_length - h + 1, n_out, -1)
+            traces = _widen(traces, _wider(traces.dtype, t.dtype))
+            traces[:, :, start + live] = _widen(t[1:], traces.dtype)
+            # runs of equal neighbour count share their binomials
+            counts = nb[start + live]
+            runs = np.flatnonzero(np.diff(counts, prepend=-1))
+            bound = len(live) * h * r**max_length
+            sums[h][:, :, counts[runs]] += _widen(np.add.reduceat(
+                _widen(t, _wider(t.dtype, _exact_dtype(bound))), runs,
+                axis=2), np.dtype(object))
+            stats[1] += len(live)
+            stats[3] = max(stats[3], _LADDER.index(t.dtype))
     if _log.isEnabledFor(logging.DEBUG):
         for h, (k, live, slices, widest) in enumerate(tally):
             if k:
@@ -511,8 +520,8 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
         _log.debug("%d bicomponents, %d of %d vertices, largest %d",
                    len(parts), inside.sum(), n,
                    max(map(len, parts), default=0))
-        _log.debug("%d blocks, largest sign table %d bytes", blocks,
-                   table.nbytes)
+        _log.debug("%d groups, %d blocks, largest sign table %d bytes",
+                   len(packed.bounds) - 1, blocks, table.nbytes)
         _log.debug("unsigned series %s",
                    "reused" if reused else "computed")
     # degree-l aggregates, l times the coefficients: lengths 1 and 2 from

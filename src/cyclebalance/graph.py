@@ -26,6 +26,7 @@ __all__ = [
     "ParseError",
     "SignConflictError",
     "SignedDigraph",
+    "disjoint_union",
     "load_edge_list",
     "parse_edge_list",
 ]
@@ -327,6 +328,20 @@ def load_edge_list(path, *, undirected: bool = False,
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read(), undirected=undirected,
                                duplicate_policy=duplicate_policy)
+
+
+def disjoint_union(graphs: Sequence[SignedDigraph]) -> SignedDigraph:
+    """The graphs side by side: vertex v of a graph becomes v plus the vertex
+    counts of the graphs before it.  Undirected if each of them is."""
+    edges: dict[tuple[int, int], int] = {}
+    offset = 0
+    for g in graphs:
+        edges.update(((u + offset, v + offset), s)
+                     for (u, v), s in g.edges.items())
+        offset += g.vertex_count
+    return SignedDigraph(offset, edges,
+                         from_undirected=all(g.from_undirected
+                                             for g in graphs))
 
 
 def complete_graph(n: int, sign: int = 1) -> SignedDigraph:

@@ -5,20 +5,27 @@ engine counts signed cycles on each induced subgraph, and batch means give
 the estimate and its spread.  Every sample's random stream is derived from
 (master_seed, round, batch, sample), so results are bit-identical for a
 given configuration regardless of worker count or scheduling.
+
+A run of consecutive samples of one batch is one task: one run per batch,
+or, with fewer batches than workers, enough runs that no worker sits idle.
+Under ``pooled`` aggregation a run lays its samples' induced subgraphs side
+by side and counts them in one census: its cycles are those of the
+samples, so its counts are their exact integer sums, and the batch sums
+do not depend on how a batch is split.  Under ``mean-of-ratios`` each
+sample is a census of its own.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .engine import cycle_census
-from .graph import GraphError, SignedDigraph
+from .graph import GraphError, SignedDigraph, disjoint_union
 
 __all__ = [
     "MonteCarloConfig",
@@ -130,17 +137,23 @@ def _pool_init(g: SignedDigraph):
 
 
 def _pool_task(args):
-    master_seed, round_index, batch, sample, size, max_length = args
-    return _one_sample(_POOL_GRAPH, master_seed, round_index, batch, sample,
-                       size, max_length)
+    return _census_run(_POOL_GRAPH, *args)
 
 
-def _one_sample(g, master_seed, round_index, batch, sample, size, max_length):
-    rng = _sample_rng(master_seed, round_index, batch, sample)
-    vs, short = sample_connected_vertex_set(g, rng, size)
-    sub, _ = g.induced_subgraph(vs)
-    census = cycle_census(sub, max_length)
-    return census.positive, census.negative, short
+def _census_run(g, cfg: MonteCarloConfig, round_index, batch, first, stop):
+    """Census samples first..stop-1 of one batch: the (positive, negative)
+    counts of their union under pooled aggregation, else of each sample;
+    and how many samples were short."""
+    subs, short = [], 0
+    for sample in range(first, stop):
+        rng = _sample_rng(cfg.master_seed, round_index, batch, sample)
+        vs, cut = sample_connected_vertex_set(g, rng, cfg.sample_size)
+        short += cut
+        subs.append(g.induced_subgraph(vs)[0])
+    if cfg.aggregation == "pooled":
+        subs = [disjoint_union(subs)]
+    censuses = (cycle_census(sub, cfg.max_length) for sub in subs)
+    return [(c.positive, c.negative) for c in censuses], short
 
 
 def mean_and_2sigma(values: Sequence[float]
@@ -168,63 +181,74 @@ def _batch_stats(batch_means, k: int) -> tuple[float | None, float | None, int]:
     return est, stderr, len(means)
 
 
-def _batch_ratio(agg: str, pos_sums, neg_sums, per_sample) -> list[float | None]:
-    """Per-length batch means under the configured aggregation."""
+def _batch_ratio(agg: str, counts) -> list[float | None]:
+    """Per-length batch means under the configured aggregation, from a
+    batch's (positive, negative) counts: of each sample under
+    ``mean-of-ratios``, of runs of samples under ``pooled``."""
     out: list[float | None] = []
-    for ell_idx in range(len(pos_sums)):
+    for ell_idx in range(len(counts[0][0])):
+        pairs = [(pos[ell_idx], neg[ell_idx]) for pos, neg in counts]
         if agg == "pooled":
-            tot = pos_sums[ell_idx] + neg_sums[ell_idx]
-            out.append(None if tot == 0 else neg_sums[ell_idx] / tot)
+            neg = sum(n for _, n in pairs)
+            tot = sum(p for p, _ in pairs) + neg
+            out.append(None if tot == 0 else neg / tot)
         else:
-            vals = [n / (p + n) for p, n in per_sample[ell_idx] if p + n > 0]
+            vals = [n / (p + n) for p, n in pairs if p + n > 0]
             out.append(None if not vals else sum(vals) / len(vals))
     return out
+
+
+def _runs(cfg: MonteCarloConfig, workers: int) -> list[tuple[int, int, int]]:
+    """(batch, first sample, stop) of each task: every batch is split into
+    the same number of runs, as few as keep ``workers`` busy."""
+    k = cfg.samples_per_batch
+    pieces = min(k, -(-workers // cfg.batches))
+    cuts = [k * i // pieces for i in range(pieces + 1)]
+    return [(b, lo, hi) for b in range(cfg.batches)
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
                     workers: int = 1,
                     progress: Callable[[int, dict], None] | None = None,
                     round_index: int = 0) -> MonteCarloReport:
-    """Draw batches of snowball samples and aggregate exact per-sample censuses.
+    """Draw batches of snowball samples and aggregate exact censuses of them.
 
     The estimate per length is the mean of defined batch ratios; the reported
     uncertainty is twice the standard deviation of batch means over
     sqrt(#batches used).  ``workers`` processes draw the samples; 1 draws
-    them in this process.
+    them in this process.  Each task censuses a run of samples of one batch
+    (module docstring).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
     L = cfg.max_length
-    tasks = [(cfg.master_seed, round_index, b, s, cfg.sample_size, L)
-             for b in range(cfg.batches) for s in range(cfg.samples_per_batch)]
+    tasks = [(cfg, round_index, *run) for run in _runs(cfg, workers)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # numpy loads its random module on first use: load it here, once,
+        # so that forked workers do not each load it again
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(g,)) as pool:
-            results = list(pool.map(_pool_task, tasks,
-                                    chunksize=max(1, len(tasks) // (4 * workers))))
+            results = list(pool.map(_pool_task, tasks))
     else:
-        results = [_one_sample(g, *t) for t in tasks]
+        results = [_census_run(g, *t) for t in tasks]
 
-    short_samples = sum(1 for _, _, short in results if short)
+    short_samples = sum(short for _, short in results)
     batch_means: list[list[float | None]] = []
     cycles_found = [0] * L
-    idx = 0
+    per_batch = len(tasks) // cfg.batches
     for b in range(cfg.batches):
-        pos_sums = [0] * L
-        neg_sums = [0] * L
-        per_sample: list[list[tuple[int, int]]] = [[] for _ in range(L)]
-        for s in range(cfg.samples_per_batch):
-            pos, neg, _ = results[idx]
-            idx += 1
+        counts = [c for run, _ in results[b * per_batch:(b + 1) * per_batch]
+                  for c in run]
+        for pos, neg in counts:
             for k in range(L):
-                pos_sums[k] += pos[k]
-                neg_sums[k] += neg[k]
-                per_sample[k].append((pos[k], neg[k]))
-        for k in range(L):
-            cycles_found[k] += pos_sums[k] + neg_sums[k]
-        batch_means.append(_batch_ratio(cfg.aggregation, pos_sums, neg_sums,
-                                        per_sample))
+                cycles_found[k] += pos[k] + neg[k]
+        batch_means.append(_batch_ratio(cfg.aggregation, counts))
         if progress is not None:
             progress((b + 1) * cfg.samples_per_batch,
                      _stderr_snapshot(batch_means, L))
@@ -238,7 +262,7 @@ def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
         rows=tuple(rows),
         short_samples=short_samples,
         wall_time_s=time.perf_counter() - t0,
-        total_samples=len(tasks),
+        total_samples=cfg.batches * cfg.samples_per_batch,
     )
 
 

@@ -23,6 +23,19 @@ children of H are H + w for the set bits w of ``ext`` in ascending order:
 
 with nbr[w] the neighbour mask of w.  Popcounts use ``np.bitwise_count``.
 
+Packings and groups.  ``size_classes`` enumerates a ``SignedDigraph`` as
+it is, or a ``Packing``: vertex sets of a graph laid side by side as one
+graph (``pack``), which the cycle engine builds from the bicomponents.  Part
+i takes the next len(part) ids, its vertices in ascending order, and the
+arcs of the graph between two of its vertices; a vertex in several parts
+is copied into each, and loops are dropped.  The arcs and the undirected
+adjacency (CSR) are built in numpy from ``SignedDigraph.arcs``.  Consecutive
+parts are packed into groups of at most ``_GROUP`` = 64 vertices, one mask
+word, and a larger part forms a group of its own.  Groups are enumerated in
+turn, each as a range of roots split into blocks as below, so no subgraph
+spans two groups and mask width stays that of one group.  A graph is
+enumerated as the packing of one part, itself.
+
 Blocks and universes.  Masks are rows of uint64 words.  Roots are taken in
 blocks of consecutive ids, and a block's masks cover only its universe: the
 vertices within max_size hops of its roots, which hold H | N(H) for every
@@ -34,23 +47,24 @@ as ``inner``.  A block's universe must fit
 ``_WORD_BUDGET`` words: each block tries the previous block's root count,
 scaled by how far that block's universe fell short of the budget, and
 halves it until the universe fits.  A single root whose ball is larger
-forms a block of its own, with wider masks.  A graph of at most
-64 * _WORD_BUDGET vertices is one block with the identity relabel.
+forms a block of its own, with wider masks.  A group of at most
+64 * _WORD_BUDGET vertices is one block.
 
 Memory.  With B = _WORD_BUDGET, a block of several roots has at most 64 B
 vertices in its universe, so its neighbour masks take at most 64 B * B * 8
 bytes, 2 MB at B = 64, and each subgraph mask at most B words.  A class
 being grown holds a few such masks per subgraph (``seen``, ``ext`` and
 their children's temporaries), besides its ``verts`` rows.  Beyond that,
-memory grows with the vertex count only through the graph's adjacency
-lists and one index per vertex.  A single root with a larger ball has
+memory grows with the vertex count only through the packing's arcs and
+adjacency and one index per vertex.  A single root with a larger ball has
 masks as wide as its ball needs, which stays below the vertex count.
 
-Order, a contract the cycle engine relies on.  Subgraphs come block by
-block; within a block by size; within a class by parent, and the children
-of one parent by ascending added vertex.  So ``verts[i, :-1]`` of class h
-equals ``verts[parent[i]]`` of the same block's class h - 1, and the engine
-builds each subgraph's matrix from its parent's.  The counts a census sums
+Order, a contract the cycle engine relies on.  Subgraphs come group by
+group and block by block; within a block by size; within a class by
+parent, and the children of one parent by ascending added vertex.  So
+``verts[i, :-1]`` of class h equals ``verts[parent[i]]`` of the same
+block's class h - 1, and the engine builds each subgraph's matrix from its
+parent's.  The counts a census sums
 do not depend on this order.
 
 ``size_classes`` yields the classes.  ``connected_induced_subgraphs``
@@ -62,14 +76,13 @@ only for a visitor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .graph import SignedDigraph
 
-__all__ = ["SubgraphVisit", "SizeClass", "size_classes",
+__all__ = ["SubgraphVisit", "SizeClass", "Packing", "pack", "size_classes",
            "connected_induced_subgraphs",
            "enumerate_connected_induced_subgraphs"]
 
@@ -80,6 +93,8 @@ __all__ = ["SubgraphVisit", "SizeClass", "size_classes",
 # 1.08, 0.86 and 1.10 s (best of 2, 2-core box) with 2, 3 and 10 MB more
 # peak RSS.
 _WORD_BUDGET = 64
+# vertices of a packing group of several parts: one mask word
+_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -99,23 +114,86 @@ class SizeClass(NamedTuple):
     inner: np.ndarray   # (m,) int64: the block's inner vertices, ascending
 
 
-def size_classes(g: SignedDigraph, max_size: int) -> Iterator[SizeClass]:
+class Packing(NamedTuple):
+    """Vertex sets of a graph laid side by side as one graph, in groups."""
+
+    tails: np.ndarray    # (a,) int64: the arcs within a part, loops dropped,
+    heads: np.ndarray    # (a,) int64:   in packed ids, by (tail, head)
+    signs: np.ndarray    # (a,) int8
+    indptr: np.ndarray   # (N + 1,) int64: the undirected neighbours of
+    indices: np.ndarray  # packed vertex v, indices[indptr[v]:indptr[v + 1]]
+    bounds: np.ndarray   # group i holds packed ids bounds[i]..bounds[i + 1]-1
+
+
+def pack(g: SignedDigraph, parts: Sequence[np.ndarray]) -> Packing:
+    """Lay the sorted vertex sets ``parts`` of g side by side (module
+    docstring).  Two parts share at most one vertex, as bicomponents do, so
+    an arc lies in at most one part."""
+    n = g.vertex_count
+    sizes = np.array([len(p) for p in parts], dtype=np.int64)
+    verts = np.concatenate([np.zeros(0, np.int64), *parts])
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    # part * n + vertex ascends with the packed id
+    key = part * n + verts
+    # the packed ids of vertex v: copies[start[v]:start[v + 1]]
+    copies = np.argsort(verts, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(verts, minlength=n), out=start[1:])
+    tails, heads, signs = g.arcs
+    arc = np.flatnonzero(tails != heads)
+    # each arc is looked up from its end with fewer copies, x, in the
+    # parts of x, for its other end y
+    count = np.diff(start)
+    flip = count[tails[arc]] > count[heads[arc]]
+    x = np.where(flip, heads[arc], tails[arc])
+    y = np.where(flip, tails[arc], heads[arc])
+    at = np.repeat(np.arange(len(arc)), count[x])
+    px = copies[_ranges(start[x], start[x + 1])]
+    want = part[px] * n + y[at]
+    py = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0))
+    hit = np.flatnonzero(key[py] == want)
+    at, px, py = at[hit], px[hit], py[hit]
+    p_tails = np.where(flip[at], py, px)
+    p_heads = np.where(flip[at], px, py)
+    # arcs stay sorted by head within a tail: the packing keeps vertex order
+    order = np.argsort(p_tails, kind="stable")
+    p_tails, p_heads = p_tails[order], p_heads[order]
+    total = len(verts)
+    # the undirected edges both ways, each once; np.unique would import
+    # numpy.ma on its first call
+    both = np.sort(np.concatenate([p_tails * total + p_heads,
+                                   p_heads * total + p_tails]))
+    both = both[np.diff(both, prepend=-1) != 0]
+    indptr = np.searchsorted(both, np.arange(total + 1) * total)
+    # consecutive parts up to _GROUP vertices; a larger part alone
+    bounds = [0]
+    ends = np.cumsum(sizes)
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        if hi - bounds[-1] > _GROUP and lo > bounds[-1]:
+            bounds.append(lo)
+    bounds.append(total)
+    return Packing(p_tails, p_heads, signs[arc[at[order]]], indptr,
+                   both % max(total, 1), np.array(bounds))
+
+
+def size_classes(g: SignedDigraph | Packing, max_size: int
+                 ) -> Iterator[SizeClass]:
     """Yield the classes of weakly connected induced vertex sets H with
-    1 <= |H| <= max_size, in the order of the module docstring."""
+    1 <= |H| <= max_size of a graph or a packing, in the order of the module
+    docstring."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    n = g.vertex_count
-    adj = [g.undirected_neighbours(v) for v in range(n)]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in adj], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), np.int64, int(indptr[-1]))
+    if isinstance(g, SignedDigraph):
+        g = pack(g, [np.arange(g.vertex_count)])
     # local id of each vertex of the current universe, -1 elsewhere
-    local = np.full(n, -1, dtype=np.int64)
-    for roots, universe, inner in _blocks(indptr, indices, max_size, local):
-        local[universe] = np.arange(len(universe))
-        yield from _grow(indptr, indices, local, roots, universe, inner,
-                         max_size)
-        local[universe] = -1
+    local = np.full(g.bounds[-1], -1, dtype=np.int64)
+    for lo, hi in zip(g.bounds[:-1], g.bounds[1:]):
+        for roots, universe, inner in _blocks(g.indptr, g.indices, lo, hi,
+                                              max_size, local):
+            local[universe] = np.arange(len(universe))
+            yield from _grow(g.indptr, g.indices, local, roots, universe,
+                             inner, max_size)
+            local[universe] = -1
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -177,21 +255,21 @@ def _ball(indptr, indices, sources, radius: int, cap: int, mark):
     return np.sort(ball), np.sort(np.concatenate(layers[:-1]))
 
 
-def _blocks(indptr, indices, max_size: int, mark):
-    """Yield (roots, universe, inner) per block of consecutive roots (module
-    docstring); ``mark`` is scratch for ``_ball``."""
-    n = len(indptr) - 1
+def _blocks(indptr, indices, lo: int, hi: int, max_size: int, mark):
+    """Yield (roots, universe, inner) per block of consecutive roots of the
+    vertices lo..hi-1, which no edge joins to others (module docstring);
+    ``mark`` is scratch for ``_ball``."""
     cap = 64 * _WORD_BUDGET
-    if n <= cap:
-        if n:
-            everything = np.arange(n)
+    if hi - lo <= cap:
+        if hi > lo:
+            everything = np.arange(lo, hi)
             yield everything, everything, everything
         return
-    start, count = 0, 1
-    while start < n:
-        roots = np.arange(start, min(n, start + count))
+    start, count = lo, 1
+    while start < hi:
+        roots = np.arange(start, min(hi, start + count))
         balls = _ball(indptr, indices, roots, max_size,
-                      cap if len(roots) > 1 else n, mark)
+                      cap if len(roots) > 1 else hi - lo, mark)
         if balls is None:
             count //= 2
             continue

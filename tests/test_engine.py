@@ -255,12 +255,57 @@ def test_census_equals_oracle_on_glued_blocks(rng):
             assert cycle_census(g, L) == brute_force_census(g, L), (g, L)
 
 
+def _block_chain(rng, sizes, undirected):
+    """Blocks of the given sizes, each a cycle with chords glued at one
+    vertex to a block before it, with loops; directed arcs take either or
+    both orientations, antiparallel ones often of opposite signs."""
+    pairs, n = [], 1
+    for size in sizes:
+        verts = [rng.randrange(n)] + list(range(n, n + size - 1))
+        n = verts[-1] + 1
+        pairs += zip(verts, verts[1:] + verts[:1])
+        pairs += [(u, v) for u in verts for v in verts
+                  if u < v and rng.random() < 0.6 / size]
+    edges = {(u, u): rng.choice((1, -1)) for u in range(n)
+             if rng.random() < 0.1}
+    for u, v in pairs:
+        sign = rng.choice((1, -1))
+        if undirected:
+            edges[(u, v)] = edges[(v, u)] = sign
+        else:
+            for arc in rng.choice((((u, v),), ((v, u),), ((u, v), (v, u)))):
+                edges[arc] = rng.choice((1, -1))
+    return SignedDigraph(n, edges, from_undirected=undirected)
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_packed_enumeration_equals_oracle(undirected):
+    # many small bicomponents, cut vertices copied into each, fill several
+    # packing groups of one mask word; a ring with chords larger than a
+    # group is a group of its own
+    rng = random.Random(19)
+    for big in (0, 90):
+        sizes = [rng.randint(3, 6) for _ in range(40)]
+        sizes.insert(rng.randrange(len(sizes)), big or 3)
+        g = _block_chain(rng, sizes, undirected)
+        packed = subgraphs.pack(g, g.bicomponents)
+        widths = np.diff(packed.bounds)
+        assert len(widths) >= 3 and widths.sum() > g.vertex_count
+        assert (widths > 64).sum() == (big > 0)
+        if not undirected:
+            assert any(s == -g.sign(v, u) for (u, v), s in g.edges.items())
+        for L in (3, 6):
+            assert cycle_census(g, L) == brute_force_census(g, L), (big, L)
+
+
 def test_only_bicomponents_are_enumerated(monkeypatch):
-    # spy: the graphs the engine enumerates, and their subgraph counts
+    # spy: the packed graphs the engine enumerates, as edge dicts, and their
+    # subgraph counts
     enumerated, classes = [], engine.size_classes
 
     def classes_spy(g, max_size):
-        enumerated.append([g.edges, 0])
+        arcs = zip(g.tails.tolist(), g.heads.tolist())
+        enumerated.append([dict(zip(arcs, g.signs.tolist())), 0])
         for c in classes(g, max_size):
             enumerated[-1][1] += len(c.verts)
             yield c
@@ -272,6 +317,16 @@ def test_only_bicomponents_are_enumerated(monkeypatch):
     assert cycle_census(g, 6) == brute_force_census(g, 6)
     triangle = parse_edge_list("0 1 1\n1 2 -1\n2 0 1", undirected=True)
     assert enumerated == [[triangle.edges, 7]]
+    # a second triangle on the cut vertex 2, and a loop on it: one
+    # enumeration of both triangles side by side, 2 copied as 3, no loop
+    enumerated.clear()
+    glued = parse_edge_list("0 1 1\n1 2 -1\n2 0 1\n2 2 -1\n2 6 1\n"
+                            "6 7 -1\n7 2 1\n3 4 -1\n3 5 1\n2 3 1",
+                            undirected=True)
+    assert cycle_census(glued, 6) == brute_force_census(glued, 6)
+    twins = parse_edge_list("0 1 1\n1 2 -1\n2 0 1\n3 4 1\n4 5 -1\n5 3 1",
+                            undirected=True)
+    assert enumerated == [[twins.edges, 14]]
     # lengths 1 and 2 come from the arcs alone
     enumerated.clear()
     for L in (1, 2):
@@ -363,6 +418,8 @@ def test_complete_graph_population():
 
 
 def test_exact_dtype_tiers():
+    assert _exact_dtype(2**24 - 1) == np.float32
+    assert _exact_dtype(2**24) == np.float64
     assert _exact_dtype(2**53 - 1) == np.float64
     assert _exact_dtype(2**53) == np.int64
     assert _exact_dtype(2**62 - 1) == np.int64
@@ -378,8 +435,8 @@ def test_negative_k16_reaches_object_traces(widened):
     for ell in range(2, 17):
         want = (0, cf[ell]) if ell % 2 else (cf[ell], 0)
         assert (c.n_pos(ell), c.n_neg(ell)) == want
-    assert widened == {np.dtype(np.float64), np.dtype(np.int64),
-                       np.dtype(object)}
+    assert widened == {np.dtype(np.float32), np.dtype(np.float64),
+                       np.dtype(np.int64), np.dtype(object)}
 
 
 def _trace_powers(a, top):
@@ -420,7 +477,8 @@ def test_walk_recurrence_adds_closed_walks_through_last_vertex(symmetric):
 
 def test_recurrence_dtype_tiers_match_oracle(monkeypatch, widened, rng):
     # low exactness limits push the recurrence, and the sums across
-    # subgraphs, through int64 and object steps
+    # subgraphs, through float64, int64 and object steps
+    monkeypatch.setattr(engine, "_FLOAT32_EXACT", 2**4)
     monkeypatch.setattr(engine, "_FLOAT64_EXACT", 2**7)
     monkeypatch.setattr(engine, "_INT64_EXACT", 2**11)
     for undirected in [False] * 25 + [True] * 15:
@@ -428,8 +486,8 @@ def test_recurrence_dtype_tiers_match_oracle(monkeypatch, widened, rng):
                                   loop_prob=0.15, undirected=undirected)
         L = rng.randint(1, g.vertex_count + 2)
         assert cycle_census(g, L) == brute_force_census(g, L)
-    assert widened == {np.dtype(np.float64), np.dtype(np.int64),
-                       np.dtype(object)}
+    assert widened == {np.dtype(np.float32), np.dtype(np.float64),
+                       np.dtype(np.int64), np.dtype(object)}
 
 
 @pytest.mark.parametrize("size, longest, seed", [
@@ -461,16 +519,16 @@ def test_debug_records_per_size(caplog, monkeypatch):
     assert [r.getMessage() for r in caplog.records] == [
         "size 1: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
         "size 2: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
-        "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float32",
         "1 bicomponents, 3 of 4 vertices, largest 3",
-        "1 blocks, largest sign table 9 bytes",
+        "1 groups, 1 blocks, largest sign table 9 bytes",
         # the first census of g, before the capture, computed it
         "unsigned series reused",
         "size 1: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
-        "size 2: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float64",
-        "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float64",
+        "size 2: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float32",
+        "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float32",
         "1 bicomponents, 3 of 3 vertices, largest 3",
-        "1 blocks, largest sign table 9 bytes",
+        "1 groups, 1 blocks, largest sign table 9 bytes",
         "unsigned series computed",
     ]
     # one word a mask splits a 130-vertex ring, one bicomponent, at L=3 into
@@ -485,7 +543,8 @@ def test_debug_records_per_size(caplog, monkeypatch):
         cycle_census(SignedDigraph(130, ring, from_undirected=True), 3)
     assert [r.getMessage() for r in caplog.records[-3:]] == [
         "1 bicomponents, 130 of 130 vertices, largest 130",
-        "5 blocks, largest sign table 3481 bytes", "unsigned series computed"]
+        "1 groups, 5 blocks, largest sign table 3481 bytes",
+        "unsigned series computed"]
 
 
 def test_unsigned_series_reused_until_topology_changes(monkeypatch):

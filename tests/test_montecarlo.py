@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cyclebalance import montecarlo
 from cyclebalance.engine import cycle_census
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.montecarlo import (MonteCarloConfig, convergence_loop,
-                                     run_monte_carlo,
+                                     mean_and_2sigma, run_monte_carlo,
                                      sample_connected_vertex_set)
-from _util import random_signed_digraph
+from _util import clustered_graph, random_signed_digraph
 
 TRIAD = parse_edge_list("0 1 1\n0 2 1\n1 2 -1", undirected=True)
 
@@ -163,3 +169,89 @@ def test_convergence_loop_cap_flags_partial(rng):
     # accept either outcome but require the flags to be consistent
     defined = {r.length for r in rep.rows if r.estimate is not None}
     assert set(rep.converged_lengths) | set(rep.failed_lengths) == defined
+
+
+def _pooled_reference(g, cfg):
+    """Rows of a pooled run from a census of each sample, summed per batch."""
+    L = cfg.max_length
+    means, found = [], [0] * L
+    for b in range(cfg.batches):
+        pos, neg = [0] * L, [0] * L
+        for s in range(cfg.samples_per_batch):
+            rng = np.random.default_rng([cfg.master_seed, 0, b, s])
+            vs, _ = sample_connected_vertex_set(g, rng, cfg.sample_size)
+            census = cycle_census(g.induced_subgraph(vs)[0], L)
+            for k in range(L):
+                pos[k] += census.positive[k]
+                neg[k] += census.negative[k]
+                found[k] += census.positive[k] + census.negative[k]
+        means.append([n / (p + n) if p + n else None
+                      for p, n in zip(pos, neg)])
+    rows = []
+    for k in range(L):
+        defined = [m[k] for m in means if m[k] is not None]
+        est, two_sigma = mean_and_2sigma(defined)
+        stderr = None if two_sigma is None else two_sigma / len(defined)**0.5
+        rows.append((k + 1, est, stderr, found[k], len(defined)))
+    return rows
+
+
+def test_pooled_batches_equal_summed_sample_censuses():
+    # a batch is one census of its samples side by side, split into runs
+    # when batches are fewer than workers: 2, 2, 4 and 6 tasks here
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfg = MonteCarloConfig(5, 2, 9, 6, master_seed=8)
+    want = _pooled_reference(g, cfg)
+    for workers in (1, 2, 3, 5):
+        rep = run_monte_carlo(g, cfg, workers=workers)
+        assert [(r.length, r.estimate, r.stderr, r.cycles_found,
+                 r.batches_used) for r in rep.rows] == want, workers
+        assert rep.total_samples == 10
+    assert sum(r[3] for r in want[2:]) > 0
+
+
+def test_fewer_batches_than_workers_split_into_runs():
+    cfg = MonteCarloConfig(5, 2, 3, 3)
+    assert montecarlo._runs(cfg, 1) == [(0, 0, 5), (1, 0, 5)]
+    for workers, tasks in [(2, 2), (3, 4), (5, 6), (64, 10)]:
+        runs = montecarlo._runs(cfg, workers)
+        assert len(runs) == tasks
+        # every sample of every batch once, in order
+        assert [(b, s) for b, lo, hi in runs for s in range(lo, hi)] == \
+            [(b, s) for b in range(2) for s in range(5)]
+
+
+_SPAWN_SCRIPT = """
+import multiprocessing
+
+from cyclebalance.graph import parse_edge_list
+from cyclebalance.montecarlo import MonteCarloConfig, run_monte_carlo
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    g = parse_edge_list("0 1 1\\n1 2 -1\\n2 3 1\\n3 4 -1\\n4 0 1\\n"
+                        "1 3 1\\n0 2 -1\\n5 6 1", undirected=True)
+    for aggregation in ("pooled", "mean-of-ratios"):
+        cfg = MonteCarloConfig(3, 2, 4, 4, 6, aggregation)
+        one, two = (run_monte_carlo(g, cfg, workers=w) for w in (1, 2))
+        assert one.short_samples > 0
+        for rep in (one, two):
+            print(aggregation, rep.rows, rep.short_samples,
+                  rep.total_samples)
+"""
+
+
+def test_workers_agree_under_spawn(tmp_path):
+    # spawned workers receive the graph and each task by pickling
+    script = tmp_path / "spawn_run.py"
+    script.write_text(_SPAWN_SCRIPT)
+    src = Path(montecarlo.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, str(script)], env=env, text=True,
+                         capture_output=True, timeout=120, check=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[0] == lines[1] and lines[2] == lines[3]
+    assert lines[0].startswith("pooled ")
+    assert lines[2].startswith("mean-of-ratios ")

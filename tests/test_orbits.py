@@ -109,7 +109,7 @@ def test_orbits_equal_cycles_up_to_five(rng):
 
 def test_orbit_trace_round_trip(rng):
     # divisor-sum reconstruction: l^-1 Tr|T|^l = sum_{k|l} N_{l/k} / k must
-    # invert the Mobius step for orbit totals; K9 reaches all three dtypes
+    # invert the Mobius step for orbit totals; K9 reaches all four dtypes
     graphs = [random_signed_digraph(rng, max_vertices=7, edge_prob=0.4,
                                     undirected=True) for _ in range(10)]
     for g, max_length in [(g, 8) for g in graphs] + [(complete_graph(9), 20)]:
@@ -128,20 +128,20 @@ def test_orbit_trace_round_trip(rng):
 def test_walk_ratios_negative_k20_all_dtypes(widened):
     # |A| = J - I has eigenvalues 19 and -1 (19 times); every closed walk
     # of an all-negative graph has sign (-1)^l.  Up to length 30 the half
-    # powers themselves pass through all three dtypes.
+    # powers themselves pass through all four dtypes.
     rows = walk_ratios(complete_graph(20, -1), 30)
     for ell, row in enumerate(rows, start=1):
         total = 19**ell + 19 * (-1) ** ell
         assert (row.n_pos, row.n_neg) == \
             ((total, 0) if ell % 2 == 0 else (0, total)), ell
-    assert widened == {np.dtype(np.float64), np.dtype(np.int64),
-                       np.dtype(object)}
+    assert widened == {np.dtype(np.float32), np.dtype(np.float64),
+                       np.dtype(np.int64), np.dtype(object)}
 
 
 def test_orbits_negative_k9_all_dtypes(widened):
     negative = primitive_orbit_counts(complete_graph(9, -1), 20)
-    assert widened == {np.dtype(np.float64), np.dtype(np.int64),
-                       np.dtype(object)}
+    assert widened == {np.dtype(np.float32), np.dtype(np.float64),
+                       np.dtype(np.int64), np.dtype(object)}
     positive = primitive_orbit_counts(complete_graph(9), 20)
     for ell in range(3, 21):
         total = positive.total(ell)
