@@ -15,14 +15,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import datasets
-from .engine import (BalanceTable, balance_table, cycle_census,
+from .engine import (BalanceRow, BalanceTable, balance_table, cycle_census,
                      estimate_ratios, exact_low_order_ratios)
 from .graph import GraphError, SignedDigraph, load_edge_list
 from .montecarlo import MonteCarloConfig, convergence_loop, run_monte_carlo
 from .nullmodel import (fit_correlation_length, null_band, null_ratio,
                         shuffle_null)
 from .orbits import primitive_orbit_counts, walk_ratios
-from .report import AnalysisReport, ReportRow, emit_report
+from .report import AnalysisReport, emit_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,39 +115,25 @@ def _load(args) -> SignedDigraph:
     path = Path(args.input)
     if not path.exists():
         raise GraphError(f"input file {path} not found")
-    return load_edge_list(path, undirected=args.undirected)
+    g = load_edge_list(path, undirected=args.undirected)
+    # --timing reports the wall time from here to the emission
+    args.loaded_at = time.perf_counter()
+    return g
 
 
-def _f(x):
-    return None if x is None else float(x)
-
-
-def _table_rows(table: BalanceTable) -> list[ReportRow]:
-    return [
-        ReportRow(r.length, r.n_pos, r.n_neg, _f(r.ratio_negative),
-                  _f(r.neg_to_pos), _f(r.clustering))
-        for r in table.rows
-    ]
-
-
-def _report(args, g: SignedDigraph, method: str, rows, config=None,
-            extra=None, wall=None) -> AnalysisReport:
-    p = g.negative_edge_fraction() if g.edge_count else None
-    return AnalysisReport(
-        dataset_name=Path(args.input).stem if getattr(args, "input", None)
-        else "-",
+def _emit(args, g: SignedDigraph, method: str, rows, config,
+          extra=None) -> None:
+    report = AnalysisReport(
+        dataset_name=Path(args.input).stem,
         vertices=g.vertex_count,
         edge_count=g.edge_count,
-        negative_fraction=p,
+        negative_fraction=g.negative_edge_fraction() if g.edge_count else None,
         method=method,
         rows=tuple(rows),
-        config=config or {},
+        config=config,
         extra=extra or {},
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - args.loaded_at,
     )
-
-
-def _emit(args, report: AnalysisReport) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             emit_report(report, args.format, fh, include_timing=args.timing)
@@ -158,11 +144,8 @@ def _emit(args, report: AnalysisReport) -> None:
 
 def _cmd_census(args) -> int:
     g = _load(args)
-    t0 = time.perf_counter()
     table = balance_table(cycle_census(g, args.max_length))
-    wall = time.perf_counter() - t0
-    _emit(args, _report(args, g, "exact", _table_rows(table),
-                        config={"max_length": args.max_length}, wall=wall))
+    _emit(args, g, "exact", table.rows, {"max_length": args.max_length})
     return EXIT_OK
 
 
@@ -174,15 +157,13 @@ def _cmd_montecarlo(args) -> int:
         sample_size=args.sample_size, max_length=args.max_length,
         master_seed=args.seed, aggregation=agg,
     )
-    t0 = time.perf_counter()
     if args.target is not None:
         rep = convergence_loop(g, cfg, args.target, args.sample_cap,
                                workers=args.workers)
     else:
         rep = run_monte_carlo(g, cfg, workers=args.workers)
-    wall = time.perf_counter() - t0
-    rows = [ReportRow(r.length, None, None, r.estimate,
-                      *estimate_ratios(r.estimate), r.stderr)
+    rows = [BalanceRow(r.length, None, None, r.estimate,
+                       *estimate_ratios(r.estimate), r.stderr)
             for r in rep.rows]
     # worker count is an execution detail: reports must be byte-identical
     # for a given (graph, config, seed) regardless of parallelism
@@ -197,8 +178,7 @@ def _cmd_montecarlo(args) -> int:
     if args.target is not None:
         extra["converged_lengths"] = list(rep.converged_lengths)
         extra["failed_lengths"] = list(rep.failed_lengths)
-    _emit(args, _report(args, g, "monte-carlo", rows, config=config,
-                        extra=extra, wall=wall))
+    _emit(args, g, "monte-carlo", rows, config, extra)
     if args.target is not None and rep.failed_lengths:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -210,35 +190,31 @@ def _cmd_orbits(args) -> int:
         raise ValueError("max_length must be >= 1")
     # lengths 1 and 2 hold no orbit, so the census always runs to length 3
     oc = primitive_orbit_counts(g, max(args.max_length, 3))
-    rows = _table_rows(balance_table(oc))[2:]
-    _emit(args, _report(args, g, "orbits", rows,
-                        config={"max_length": args.max_length}))
+    _emit(args, g, "orbits", balance_table(oc).rows[2:],
+          {"max_length": args.max_length})
     return EXIT_OK
 
 
 def _cmd_walks(args) -> int:
     g = _load(args)
     # the table reports closed-walk ratios only, not the walk counts
-    rows = [ReportRow(r.length, ratio=_f(r.ratio_negative),
-                      neg_to_pos=_f(r.neg_to_pos), clustering=_f(r.clustering))
+    rows = [replace(r, n_pos=None, n_neg=None)
             for r in walk_ratios(g, args.max_length)]
-    _emit(args, _report(args, g, "walks", rows,
-                        config={"max_length": args.max_length}))
+    _emit(args, g, "walks", rows, {"max_length": args.max_length})
     return EXIT_OK
 
 
 def _cmd_lowexact(args) -> int:
     g = _load(args)
-    table = exact_low_order_ratios(g)
-    _emit(args, _report(args, g, "exact", _table_rows(table),
-                        config={"max_length": 3}))
+    _emit(args, g, "exact", exact_low_order_ratios(g).rows,
+          {"max_length": 3})
     return EXIT_OK
 
 
 def _null_rows(g, table: BalanceTable, p_override):
     p = p_override if p_override is not None else g.negative_edge_fraction()
     rows = []
-    for r in _table_rows(table):
+    for r in table.rows:
         tot = r.n_pos + r.n_neg
         if tot >= 1:
             band = null_band(p, r.length, tot)
@@ -254,20 +230,16 @@ def _cmd_null(args) -> int:
     g = _load(args)
     table = balance_table(cycle_census(g, args.max_length))
     rows, p = _null_rows(g, table, args.null_p)
-    _emit(args, _report(args, g, "null", rows,
-                        config={"max_length": args.max_length, "p": p}))
+    _emit(args, g, "null", rows, {"max_length": args.max_length, "p": p})
     return EXIT_OK
 
 
 def _cmd_shufflenull(args) -> int:
     g = _load(args)
     res = shuffle_null(g, args.max_length, args.shuffles, seed=args.seed)
-    rows = [replace(r, stderr=res.spread[r.length])
-            for r in _table_rows(res.mean)]
-    _emit(args, _report(args, g, "null", rows,
-                        config={"max_length": args.max_length,
-                                "shuffles": args.shuffles,
-                                "seed": args.seed}))
+    _emit(args, g, "null", res.mean.rows,
+          {"max_length": args.max_length, "shuffles": args.shuffles,
+           "seed": args.seed})
     return EXIT_OK
 
 
@@ -282,26 +254,20 @@ def _cmd_fit(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"bad --fit-range {args.fit_range!r}") from exc
     fit = fit_correlation_length(table, lengths)
-    rows = _table_rows(table)
-    extra = {"xi": _f(fit.xi) if math.isfinite(fit.xi) else "inf",
-             "two_xi": _f(fit.two_xi) if math.isfinite(fit.two_xi) else "inf",
+    extra = {"xi": fit.xi if math.isfinite(fit.xi) else "inf",
+             "two_xi": fit.two_xi if math.isfinite(fit.two_xi) else "inf",
              "fit_lengths": list(fit.fit_lengths),
-             "residual": _f(fit.residual),
+             "residual": fit.residual,
              "boundary": fit.boundary}
-    _emit(args, _report(args, g, "fit", rows,
-                        config={"max_length": args.max_length}, extra=extra))
+    _emit(args, g, "fit", table.rows, {"max_length": args.max_length}, extra)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     g = _load(args)
-    t0 = time.perf_counter()
     table = balance_table(cycle_census(g, args.max_length))
     rows, p = _null_rows(g, table, args.null_p)
-    wall = time.perf_counter() - t0
-    _emit(args, _report(args, g, "exact", rows,
-                        config={"max_length": args.max_length, "p": p},
-                        wall=wall))
+    _emit(args, g, "exact", rows, {"max_length": args.max_length, "p": p})
     return EXIT_OK
 
 

@@ -227,17 +227,25 @@ class CycleCensus:
 
 @dataclass(frozen=True)
 class BalanceRow:
-    """Balance ratios at one cycle length; None marks undefined ratios.
+    """Balance ratios at one cycle length; None marks undefined values.
 
-    Exact censuses carry Fractions; estimated tables carry floats.
+    Exact censuses carry Fractions; estimated tables carry floats.  Rows
+    without counts (closed-walk ratios, Monte Carlo estimates) leave n_pos
+    and n_neg None.  The last four fields are the report's optional
+    columns: the 2-sigma spread of an estimated R and a null model's R
+    with its band.
     """
 
     length: int
-    n_pos: int
-    n_neg: int
+    n_pos: int | None
+    n_neg: int | None
     ratio_negative: Fraction | float | None  # R = N^- / (N^- + N^+)
     neg_to_pos: Fraction | float | None      # U = N^- / N^+ (inf if N^+=0<N^-)
     clustering: Fraction | float | None      # K = (N^+ - N^-) / (N^+ + N^-)
+    stderr: float | None = None              # 2 sigma of the estimated R
+    null_ratio: float | None = None
+    null_lo: float | None = None
+    null_hi: float | None = None
 
 
 @dataclass(frozen=True)

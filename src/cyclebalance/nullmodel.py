@@ -27,6 +27,11 @@ __all__ = [
     "model_ratio",
 ]
 
+# the default fit range ends before the first R at or above this
+FIT_THRESHOLD = 0.45
+# the interval searched for the correlation length xi
+XI_BOUNDS = (1e-3, 1e3)
+
 
 @dataclass(frozen=True)
 class NullBandRow:
@@ -74,8 +79,9 @@ def _shuffled_graph(g: SignedDigraph, rng: np.random.Generator) -> SignedDigraph
 
 @dataclass(frozen=True)
 class ShuffleNullResult:
-    mean: BalanceTable                 # per-length mean of shuffle ratios
-    spread: dict[int, float | None]    # 2 * std of ratios across shuffles
+    # per length: summed counts, the mean of the shuffles' ratios, and in
+    # stderr twice their standard deviation
+    mean: BalanceTable
     shuffles: int
 
 
@@ -101,11 +107,11 @@ def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
             p0, n0 = counts[row.length]
             counts[row.length] = (p0 + row.n_pos, n0 + row.n_neg)
     rows = []
-    spread: dict[int, float | None] = {}
     for l in range(1, max_length + 1):
-        mean, spread[l] = mean_and_2sigma(per_length[l])
-        rows.append(BalanceRow(l, *counts[l], mean, *estimate_ratios(mean)))
-    return ShuffleNullResult(BalanceTable(tuple(rows)), spread, shuffles)
+        mean, spread = mean_and_2sigma(per_length[l])
+        rows.append(BalanceRow(l, *counts[l], mean, *estimate_ratios(mean),
+                               spread))
+    return ShuffleNullResult(BalanceTable(tuple(rows)), shuffles)
 
 
 @dataclass(frozen=True)
@@ -122,28 +128,26 @@ def model_ratio(length: int, xi: float) -> float:
     return 1.0 - math.exp(-(length - 2) / (2.0 * xi))
 
 
-def default_fit_range(table: BalanceTable, threshold: float = 0.45
-                      ) -> list[int]:
-    """Lengths 3..l*, where l* is the last length before R first reaches 0.45."""
+def default_fit_range(table: BalanceTable) -> list[int]:
+    """Lengths 3..l*, where l* is the last length before R first reaches
+    ``FIT_THRESHOLD``."""
     lengths = []
     for row in table.rows:
         if row.length < 3 or row.ratio_negative is None:
             continue
-        if float(row.ratio_negative) >= threshold:
+        if float(row.ratio_negative) >= FIT_THRESHOLD:
             break
         lengths.append(row.length)
     return lengths
 
 
 def fit_correlation_length(table: BalanceTable,
-                           lengths: list[int] | None = None,
-                           xi_bounds: tuple[float, float] = (1e-3, 1e3)
-                           ) -> CorrelationFit:
+                           lengths: list[int] | None = None) -> CorrelationFit:
     """Least-squares fit of the exponential model over the chosen lengths.
 
-    One-dimensional bounded minimization on xi to 1e-6.  Degenerate inputs
-    are mapped to boundary markers: all-zero ratios give xi = +inf (no decay
-    visible), all-one ratios give xi -> 0.
+    One-dimensional minimization on xi within ``XI_BOUNDS`` to 1e-6.
+    Degenerate inputs are mapped to boundary markers: all-zero ratios give
+    xi = +inf (no decay visible), all-one ratios give xi -> 0.
     """
     if lengths is None:
         lengths = default_fit_range(table)
@@ -166,9 +170,9 @@ def fit_correlation_length(table: BalanceTable,
     def loss(xi: float) -> float:
         return sum((r - model_ratio(l, xi)) ** 2 for l, r in pts)
 
-    res = minimize_scalar(loss, bounds=xi_bounds, method="bounded",
+    res = minimize_scalar(loss, bounds=XI_BOUNDS, method="bounded",
                           options={"xatol": 1e-6})
     xi = float(res.x)
-    boundary = xi <= xi_bounds[0] * 1.01 or xi >= xi_bounds[1] * 0.99
+    boundary = xi <= XI_BOUNDS[0] * 1.01 or xi >= XI_BOUNDS[1] * 0.99
     return CorrelationFit(xi, 2.0 * xi, tuple(l for l, _ in pts),
                           float(res.fun), boundary)

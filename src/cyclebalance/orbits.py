@@ -44,6 +44,9 @@ __all__ = [
 # Above this dimension dense powers of T are declared unsupported; the
 # orbit computation is meant for small and mid-sized networks.
 DENSE_CAP = 4096
+# Above this vertex count the dense exponentials of the walk balance are
+# declared unsupported.
+EXPM_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -210,15 +213,14 @@ def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
     return balance_table(CycleCensus.from_weights(signed, unsigned)).rows
 
 
-def weighted_degree_of_balance(g: SignedDigraph, size_cap: int = 2000
-                               ) -> tuple[float, float]:
+def weighted_degree_of_balance(g: SignedDigraph) -> tuple[float, float]:
     """(K, U_walks) from exponential walk sums: K = Tr exp(A) / Tr exp(|A|).
 
     Both exponentials are shifted by the Perron root m of |A|, the largest
     real part of its eigenvalues: K = Tr exp(A - mI) / Tr exp(|A| - mI).
     The shift cancels in the ratio.  No eigenvalue of A or |A| has a real
     part above m, so neither trace overflows; the Perron eigenvalue adds
-    exp(0) = 1 to the denominator.  Graphs beyond ``size_cap`` vertices,
+    exp(0) = 1 to the denominator.  Graphs beyond ``EXPM_CAP`` vertices,
     and graphs without vertices, whose traces are both 0, are refused.
     """
     from scipy.linalg import expm
@@ -227,9 +229,9 @@ def weighted_degree_of_balance(g: SignedDigraph, size_cap: int = 2000
     if n == 0:
         raise GraphError("graph has no vertices: K = Tr exp(A) / Tr exp(|A|) "
                          "is 0/0")
-    if n > size_cap:
+    if n > EXPM_CAP:
         raise GraphError(f"graph has {n} vertices, above the size cap "
-                         f"{size_cap} for dense exponentials")
+                         f"{EXPM_CAP} for dense exponentials")
     a = g.adjacency(signed=True, dtype=np.float64)
     b = np.abs(a)
     shift = np.linalg.eigvals(b).real.max(initial=0.0) * np.eye(n)

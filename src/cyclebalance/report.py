@@ -1,6 +1,6 @@
 """Report assembly and bit-stable CSV/JSON emission.
 
-Every numeric cell is rounded to 6 significant digits at build time, so a
+Every ratio cell is rounded to 6 significant digits as it is written, so a
 parse -> re-emit round trip is byte-identical.  Undefined quantities stay
 None and serialize as empty CSV cells / JSON nulls, never as zeros.  An
 infinite negative-to-positive ratio prints as "inf".
@@ -13,14 +13,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .engine import BalanceRow
+
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
+# the CSV header and, in the same order, the keys of each JSON row
 CSV_COLUMNS = ("length", "n_pos", "n_neg", "R", "U", "K", "stderr_R",
                "null_R", "null_lo", "null_hi")
 
-__all__ = ["AnalysisReport", "ReportRow", "emit_report", "parse_json_report",
-           "CSV_COLUMNS"]
+__all__ = ["AnalysisReport", "emit_report", "CSV_COLUMNS"]
 
 
 def _round6(x) -> float | None:
@@ -34,47 +36,23 @@ def _round6(x) -> float | None:
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    length: int
-    n_pos: int | None = None
-    n_neg: int | None = None
-    ratio: float | None = None        # R
-    neg_to_pos: float | None = None   # U
-    clustering: float | None = None   # K
-    stderr: float | None = None
-    null_ratio: float | None = None
-    null_lo: float | None = None
-    null_hi: float | None = None
-
-    def rounded(self) -> "ReportRow":
-        return ReportRow(
-            self.length, self.n_pos, self.n_neg,
-            _round6(self.ratio), _round6(self.neg_to_pos),
-            _round6(self.clustering), _round6(self.stderr),
-            _round6(self.null_ratio), _round6(self.null_lo),
-            _round6(self.null_hi),
-        )
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     dataset_name: str
     vertices: int
     edge_count: int
     negative_fraction: float | None
     method: str                       # exact | monte-carlo | orbits | walks | null | fit
-    rows: tuple[ReportRow, ...]
+    rows: tuple[BalanceRow, ...]
     config: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)   # e.g. fit parameters
     wall_time_s: float | None = None
 
-    def rounded(self) -> "AnalysisReport":
-        return AnalysisReport(
-            self.dataset_name, self.vertices, self.edge_count,
-            _round6(self.negative_fraction), self.method,
-            tuple(r.rounded() for r in self.rows),
-            self.config, self.extra, self.wall_time_s,
-        )
+
+def _cells(r: BalanceRow) -> tuple:
+    """One row's values in ``CSV_COLUMNS`` order, ratios rounded."""
+    return (r.length, r.n_pos, r.n_neg, *map(_round6, (
+        r.ratio_negative, r.neg_to_pos, r.clustering, r.stderr,
+        r.null_ratio, r.null_lo, r.null_hi)))
 
 
 def _csv_cell(value) -> str:
@@ -87,19 +65,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _json_num(x):
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
+    return x
+
+
 def emit_report(report: AnalysisReport, fmt: str, sink, *,
                 include_timing: bool = False) -> int:
     """Write the report to a text sink; returns the number of characters.
 
     Timing is opt-in because reports must be byte-identical across runs.
     """
-    report = report.rounded()
+    rows = [_cells(r) for r in report.rows]
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for r in report.rows:
-            lines.append(",".join(_csv_cell(v) for v in (
-                r.length, r.n_pos, r.n_neg, r.ratio, r.neg_to_pos,
-                r.clustering, r.stderr, r.null_ratio, r.null_lo, r.null_hi)))
+        lines += [",".join(map(_csv_cell, cells)) for cells in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {
@@ -109,22 +90,12 @@ def emit_report(report: AnalysisReport, fmt: str, sink, *,
                 "name": report.dataset_name,
                 "vertices": report.vertices,
                 "edges": report.edge_count,
-                "negative_fraction": report.negative_fraction,
+                "negative_fraction": _round6(report.negative_fraction),
             },
             "method": report.method,
             "config": report.config,
-            "rows": [
-                {
-                    "length": r.length, "n_pos": r.n_pos, "n_neg": r.n_neg,
-                    "R": _json_num(r.ratio), "U": _json_num(r.neg_to_pos),
-                    "K": _json_num(r.clustering),
-                    "stderr_R": _json_num(r.stderr),
-                    "null_R": _json_num(r.null_ratio),
-                    "null_lo": _json_num(r.null_lo),
-                    "null_hi": _json_num(r.null_hi),
-                }
-                for r in report.rows
-            ],
+            "rows": [dict(zip(CSV_COLUMNS, map(_json_num, cells)))
+                     for cells in rows],
         }
         if report.extra:
             payload["extra"] = report.extra
@@ -136,15 +107,3 @@ def emit_report(report: AnalysisReport, fmt: str, sink, *,
         raise ValueError(f"unknown format {fmt!r}")
     sink.write(text)
     return len(text)
-
-
-def _json_num(x):
-    if x is None:
-        return None
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
-
-
-def parse_json_report(text: str) -> dict:
-    return json.loads(text)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclebalance.cli import cli_main
+from cyclebalance.cli import build_parser, cli_main
 from cyclebalance.datasets import fixture_text
 
 TRIAD_TSV = fixture_text("triad.tsv")
@@ -208,6 +208,39 @@ def test_montecarlo_infinite_u_prints_inf(triad_file, capsys):
     _, out, _ = run(capsys, *argv, "--format", "json")
     row3 = json.loads(out)["rows"][2]
     assert (row3["R"], row3["U"], row3["K"]) == (1.0, "inf", -1.0)
+
+
+# the arguments, beyond --input, that each subcommand reading an input
+# needs to run quickly on the triad
+TIMED_ARGS = {
+    "census": ("--max-length", "3"),
+    "montecarlo": ("--max-length", "3", "--samples", "3", "--batches", "2",
+                   "--sample-size", "3"),
+    "orbits": ("--max-length", "3"),
+    "walks": ("--max-length", "3"),
+    "lowexact": (),
+    "null": ("--max-length", "3"),
+    "shufflenull": ("--max-length", "3", "--shuffles", "2"),
+    "fit": ("--max-length", "3", "--fit-range", "2:3"),
+    "report": ("--max-length", "3"),
+}
+
+
+def test_timed_args_cover_every_input_subcommand():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(TIMED_ARGS) == set(sub.choices) - {"fetch"}
+
+
+@pytest.mark.parametrize("cmd", sorted(TIMED_ARGS))
+def test_timing_flag_on_every_subcommand(cmd, triad_file, capsys):
+    argv = (cmd, "--input", str(triad_file), *TIMED_ARGS[cmd],
+            "--format", "json")
+    code, out, _ = run(capsys, *argv, "--timing")
+    assert code == 0
+    assert json.loads(out)["wall_time_s"] >= 0.0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "wall_time_s" not in json.loads(out)
 
 
 # sha256 of each subcommand's stdout on the sixteen-tribe fixture; any

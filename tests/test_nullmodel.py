@@ -102,7 +102,7 @@ def test_shuffle_all_positive_is_identity():
     g = parse_edge_list("0 1 1\n1 2 1\n2 0 1", undirected=True)
     res = shuffle_null(g, 3, 4, seed=1)
     assert res.mean.row(3).ratio_negative == 0.0
-    assert res.spread[3] == 0.0
+    assert res.mean.row(3).stderr == 0.0
 
 
 def test_shuffle_reproducible():

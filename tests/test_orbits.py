@@ -235,10 +235,11 @@ def test_weighted_degree_gauge_invariance(rng):
         assert k1 == pytest.approx(k2, abs=1e-9)
 
 
-def test_weighted_degree_size_cap():
+def test_weighted_degree_size_cap(monkeypatch):
     g = parse_edge_list("0 1 1", undirected=True)
+    monkeypatch.setattr(orbits, "EXPM_CAP", 1)
     with pytest.raises(GraphError):
-        weighted_degree_of_balance(g, size_cap=1)
+        weighted_degree_of_balance(g)
 
 
 def test_weighted_degree_refuses_empty_graph():

@@ -1,9 +1,11 @@
 import io
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 
-from cyclebalance.report import (CSV_COLUMNS, AnalysisReport, ReportRow,
-                                 emit_report, parse_json_report)
+from cyclebalance.engine import BalanceRow, CycleCensus, balance_table
+from cyclebalance.report import CSV_COLUMNS, AnalysisReport, emit_report
 
 
 def _report(rows):
@@ -19,8 +21,8 @@ def test_csv_columns_exact():
 
 def test_csv_undefined_cells_empty_and_inf():
     rows = [
-        ReportRow(1),
-        ReportRow(3, 0, 2, 1.0, math.inf, -1.0),
+        BalanceRow(1, None, None, None, None, None),
+        BalanceRow(3, 0, 2, 1.0, math.inf, -1.0),
     ]
     sink = io.StringIO()
     emit_report(_report(rows), "csv", sink)
@@ -30,7 +32,7 @@ def test_csv_undefined_cells_empty_and_inf():
 
 
 def test_csv_six_significant_digits():
-    rows = [ReportRow(4, 1000, 1, 1 / 3, 2 / 3, 0.123456789)]
+    rows = [BalanceRow(4, 1000, 1, 1 / 3, 2 / 3, 0.123456789)]
     sink = io.StringIO()
     emit_report(_report(rows), "csv", sink)
     cells = sink.getvalue().splitlines()[1].split(",")
@@ -39,12 +41,12 @@ def test_csv_six_significant_digits():
 
 
 def test_json_round_trip_byte_identical():
-    rows = [ReportRow(2, 3, 0, 0.0, 0.0, 1.0),
-            ReportRow(3, 0, 2, 1.0, math.inf, -1.0, None, 0.444, 0.1, 0.9)]
+    rows = [BalanceRow(2, 3, 0, 0.0, 0.0, 1.0),
+            BalanceRow(3, 0, 2, 1.0, math.inf, -1.0, None, 0.444, 0.1, 0.9)]
     sink = io.StringIO()
     emit_report(_report(rows), "json", sink)
     text = sink.getvalue()
-    payload = parse_json_report(text)
+    payload = json.loads(text)
     assert payload["schema_version"] == 1
     assert payload["rows"][1]["U"] == "inf"
     again = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
@@ -61,8 +63,40 @@ def test_timing_excluded_by_default():
 
 
 def test_emission_deterministic():
-    rows = [ReportRow(2, 3, 0, 0.0, 0.0, 1.0)]
+    rows = [BalanceRow(2, 3, 0, 0.0, 0.0, 1.0)]
     a, b = io.StringIO(), io.StringIO()
     emit_report(_report(rows), "json", a)
     emit_report(_report(rows), "json", b)
     assert a.getvalue() == b.getvalue()
+
+
+def _emit_both(rows):
+    out = []
+    for fmt in ("csv", "json"):
+        sink = io.StringIO()
+        emit_report(_report(rows), fmt, sink)
+        out.append(sink.getvalue())
+    return out
+
+
+def _as_float(x):
+    return None if x is None else float(x)
+
+
+def test_exact_rows_emit_as_their_float_ratios():
+    # lengths 1..5: undefined, U = 0, U = inf, and non-terminating Fractions
+    census = CycleCensus(5, (0, 3, 0, 7, 11), (0, 0, 2, 5, 1))
+    rows = balance_table(census).rows
+    assert rows[3].ratio_negative == Fraction(5, 12)
+    floats = [replace(r, ratio_negative=_as_float(r.ratio_negative),
+                      neg_to_pos=_as_float(r.neg_to_pos),
+                      clustering=_as_float(r.clustering)) for r in rows]
+    assert _emit_both(rows) == _emit_both(floats)
+    csv = _emit_both(rows)[0].splitlines()
+    assert csv[1:5] == ["1,0,0,,,,,,,", "2,3,0,0,0,1,,,,",
+                        "3,0,2,1,inf,-1,,,,",
+                        "4,7,5,0.416667,0.714286,0.166667,,,,"]
+    # walk and Monte Carlo rows carry no counts
+    csv, js = _emit_both([replace(r, n_pos=None, n_neg=None) for r in rows])
+    assert csv.splitlines()[3] == "3,,,1,inf,-1,,,,"
+    assert json.loads(js)["rows"][2]["n_pos"] is None
