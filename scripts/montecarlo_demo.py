@@ -40,13 +40,13 @@ def main(argv=None) -> int:
                               workers=args.workers, progress=progress)
     exact = balance_table(cycle_census(g, args.max_length))
     print("len  estimate   2-sigma    exact      cycles-seen")
-    for row in report.rows:
-        ex = exact.row(row.length).ratio_negative
+    for row, seen in zip(report.rows, report.cycles_found):
+        est, ex = row.ratio_negative, exact.row(row.length).ratio_negative
         print(f"{row.length:3d}  "
-              f"{'-' if row.estimate is None else f'{row.estimate:.4f}':>8}  "
+              f"{'-' if est is None else f'{est:.4f}':>8}  "
               f"{'-' if row.stderr is None else f'{row.stderr:.4f}':>8}  "
               f"{'-' if ex is None else f'{float(ex):.4f}':>8}  "
-              f"{row.cycles_found:10d}")
+              f"{seen:10d}")
     if report.failed_lengths:
         print(f"not converged at lengths {list(report.failed_lengths)} "
               f"(cap {args.cap})")

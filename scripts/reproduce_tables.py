@@ -53,8 +53,8 @@ def main(argv=None) -> int:
             orb = orbits[ell - 1].ratio_negative
             tot = row.n_pos + row.n_neg
             if tot:
-                band = null_band(p, ell, tot)
-                band_s = f"[{100 * band.lower:.1f},{100 * band.upper:.1f}]"
+                lo, hi = null_band(p, ell, tot)
+                band_s = f"[{100 * lo:.1f},{100 * hi:.1f}]"
             else:
                 band_s = "-"
             print(f"{ell:3d} {row.n_pos:9d} {row.n_neg:9d} "

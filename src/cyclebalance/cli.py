@@ -15,12 +15,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import datasets
-from .engine import (BalanceRow, BalanceTable, balance_table, cycle_census,
-                     estimate_ratios, exact_low_order_ratios)
+from .engine import balance_table, cycle_census, exact_low_order_ratios
 from .graph import GraphError, SignedDigraph, load_edge_list
 from .montecarlo import MonteCarloConfig, convergence_loop, run_monte_carlo
-from .nullmodel import (fit_correlation_length, null_band, null_ratio,
-                        shuffle_null)
+from .nullmodel import fit_correlation_length, shuffle_null, with_null_bands
 from .orbits import primitive_orbit_counts, walk_ratios
 from .report import AnalysisReport, emit_report
 
@@ -162,9 +160,6 @@ def _cmd_montecarlo(args) -> int:
                                workers=args.workers)
     else:
         rep = run_monte_carlo(g, cfg, workers=args.workers)
-    rows = [BalanceRow(r.length, None, None, r.estimate,
-                       *estimate_ratios(r.estimate), r.stderr)
-            for r in rep.rows]
     # worker count is an execution detail: reports must be byte-identical
     # for a given (graph, config, seed) regardless of parallelism
     config = {
@@ -174,11 +169,11 @@ def _cmd_montecarlo(args) -> int:
         "total_samples": rep.total_samples,
         "short_samples": rep.short_samples,
     }
-    extra = {"cycles_found": {r.length: r.cycles_found for r in rep.rows}}
+    extra = {"cycles_found": dict(enumerate(rep.cycles_found, start=1))}
     if args.target is not None:
         extra["converged_lengths"] = list(rep.converged_lengths)
         extra["failed_lengths"] = list(rep.failed_lengths)
-    _emit(args, g, "monte-carlo", rows, config, extra)
+    _emit(args, g, "monte-carlo", rep.rows, config, extra)
     if args.target is not None and rep.failed_lengths:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -211,27 +206,18 @@ def _cmd_lowexact(args) -> int:
     return EXIT_OK
 
 
-def _null_rows(g, table: BalanceTable, p_override):
-    p = p_override if p_override is not None else g.negative_edge_fraction()
-    rows = []
-    for r in table.rows:
-        tot = r.n_pos + r.n_neg
-        if tot >= 1:
-            band = null_band(p, r.length, tot)
-            lo, hi = band.lower, band.upper
-        else:
-            lo = hi = None
-        rows.append(replace(r, null_ratio=null_ratio(p, r.length),
-                            null_lo=lo, null_hi=hi))
-    return rows, p
+def _emit_null_bands(args, method: str) -> int:
+    """The census with null bands at --null-p, else at g's negative edge
+    fraction."""
+    g = _load(args)
+    p = args.null_p if args.null_p is not None else g.negative_edge_fraction()
+    table = with_null_bands(balance_table(cycle_census(g, args.max_length)), p)
+    _emit(args, g, method, table.rows, {"max_length": args.max_length, "p": p})
+    return EXIT_OK
 
 
 def _cmd_null(args) -> int:
-    g = _load(args)
-    table = balance_table(cycle_census(g, args.max_length))
-    rows, p = _null_rows(g, table, args.null_p)
-    _emit(args, g, "null", rows, {"max_length": args.max_length, "p": p})
-    return EXIT_OK
+    return _emit_null_bands(args, "null")
 
 
 def _cmd_shufflenull(args) -> int:
@@ -264,11 +250,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    g = _load(args)
-    table = balance_table(cycle_census(g, args.max_length))
-    rows, p = _null_rows(g, table, args.null_p)
-    _emit(args, g, "exact", rows, {"max_length": args.max_length, "p": p})
-    return EXIT_OK
+    return _emit_null_bands(args, "exact")
 
 
 def _cmd_fetch(args) -> int:

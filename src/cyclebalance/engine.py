@@ -135,6 +135,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -148,7 +149,8 @@ __all__ = [
     "BalanceTable",
     "cycle_census",
     "balance_table",
-    "estimate_ratios",
+    "balance_row",
+    "mean_and_2sigma",
     "exact_low_order_ratios",
 ]
 
@@ -552,14 +554,19 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
     return CycleCensus.from_weights(*series)
 
 
-def _ratios(n_pos: int, n_neg: int):
-    total = n_pos + n_neg
-    if total == 0:
-        return None, None, None
-    r = Fraction(n_neg, total)
-    k = Fraction(n_pos - n_neg, total)
-    u = Fraction(n_neg, n_pos) if n_pos else math.inf
-    return r, u, k
+def balance_row(length: int, r: Fraction | float | None,
+                n_pos: int | None = None, n_neg: int | None = None,
+                stderr: float | None = None) -> BalanceRow:
+    """The row at ``length`` with negative fraction R = ``r``, undefined if
+    None: U = R / (1 - R), inf at R = 1, and K = 1 - 2R.
+
+    An exact R = Fraction(N^-, N) gives exactly U = Fraction(N^-, N^+) and
+    K = Fraction(N^+ - N^-, N); a float R gives floats.
+    """
+    if r is None:
+        return BalanceRow(length, n_pos, n_neg, None, None, None, stderr)
+    u = r / (1 - r) if r < 1 else math.inf
+    return BalanceRow(length, n_pos, n_neg, r, u, 1 - 2 * r, stderr)
 
 
 def balance_table(census: CycleCensus) -> BalanceTable:
@@ -567,16 +574,25 @@ def balance_table(census: CycleCensus) -> BalanceTable:
     rows = []
     for ell in range(1, census.max_length + 1):
         np_, nn = census.n_pos(ell), census.n_neg(ell)
-        r, u, k = _ratios(np_, nn)
-        rows.append(BalanceRow(ell, np_, nn, r, u, k))
+        r = Fraction(nn, np_ + nn) if np_ + nn else None
+        rows.append(balance_row(ell, r, np_, nn))
     return BalanceTable(tuple(rows))
 
 
-def estimate_ratios(r: float | None) -> tuple[float | None, float | None]:
-    """(U, K) from an estimated R: U = R / (1 - R), inf at R = 1; K = 1 - 2R."""
-    if r is None:
+def mean_and_2sigma(values: Sequence[float]
+                    ) -> tuple[float | None, float | None]:
+    """Mean of ``values`` and twice their sample standard deviation.
+
+    The mean is None without values, the deviation with fewer than two.
+    """
+    n = len(values)
+    if n == 0:
         return None, None
-    return (r / (1.0 - r) if r < 1.0 else math.inf), 1.0 - 2.0 * r
+    mean = sum(values) / n
+    if n < 2:
+        return mean, None
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, 2.0 * math.sqrt(var)
 
 
 def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:

@@ -2,9 +2,14 @@
 
 Connected vertex sets are drawn by seeded snowball expansion, the exact
 engine counts signed cycles on each induced subgraph, and batch means give
-the estimate and its spread.  Every sample's random stream is derived from
-(master_seed, round, batch, sample), so results are bit-identical for a
-given configuration regardless of worker count or scheduling.
+the estimate and its spread.  The report's rows are ``BalanceRow``s without
+counts: R is the mean of the batch means, U and K follow from it, and
+stderr is the 2-sigma error of R.  The cycles seen at each length are
+summed over all samples in the report's ``cycles_found``.
+
+Every sample's random stream is derived from (master_seed, round, batch,
+sample), so results are bit-identical for a given configuration regardless
+of worker count or scheduling.
 
 A run of consecutive samples of one batch is one task: one run per batch,
 or, with fewer batches than workers, enough runs that no worker sits idle.
@@ -18,23 +23,20 @@ sample is a census of its own.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import cycle_census
+from .engine import BalanceRow, balance_row, cycle_census, mean_and_2sigma
 from .graph import GraphError, SignedDigraph, disjoint_union
 
 __all__ = [
     "MonteCarloConfig",
-    "MonteCarloRow",
     "MonteCarloReport",
     "sample_connected_vertex_set",
     "run_monte_carlo",
     "convergence_loop",
-    "mean_and_2sigma",
 ]
 
 AGGREGATIONS = ("pooled", "mean-of-ratios")
@@ -63,28 +65,24 @@ class MonteCarloConfig:
             )
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-
-
-@dataclass(frozen=True)
-class MonteCarloRow:
-    length: int
-    estimate: float | None       # mean over defined batch means
-    stderr: float | None         # 2 * std(batch means) / sqrt(batches used)
-    cycles_found: int            # total cycles of this length over all samples
-    batches_used: int
+        if self.master_seed < 0:
+            raise ValueError(
+                f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
 class MonteCarloReport:
     config: MonteCarloConfig
-    rows: tuple[MonteCarloRow, ...]
-    short_samples: int           # samples truncated by a small component
-    wall_time_s: float
+    # per length, R is the mean of the defined batch means and stderr twice
+    # their standard deviation over sqrt(their number); no counts
+    rows: tuple[BalanceRow, ...]
+    cycles_found: tuple[int, ...]  # index l-1 -> cycles over all samples
+    short_samples: int             # samples truncated by a small component
     converged_lengths: tuple[int, ...] = ()
     failed_lengths: tuple[int, ...] = ()
     total_samples: int = 0
 
-    def row(self, length: int) -> MonteCarloRow:
+    def row(self, length: int) -> BalanceRow:
         for r in self.rows:
             if r.length == length:
                 return r
@@ -156,29 +154,12 @@ def _census_run(g, cfg: MonteCarloConfig, round_index, batch, first, stop):
     return [(c.positive, c.negative) for c in censuses], short
 
 
-def mean_and_2sigma(values: Sequence[float]
-                    ) -> tuple[float | None, float | None]:
-    """Mean of ``values`` and twice their sample standard deviation.
-
-    The mean is None without values, the deviation with fewer than two.
-    """
-    n = len(values)
-    if n == 0:
-        return None, None
-    mean = sum(values) / n
-    if n < 2:
-        return mean, None
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, 2.0 * math.sqrt(var)
-
-
-def _batch_stats(batch_means, k: int) -> tuple[float | None, float | None, int]:
-    """Estimate, 2-sigma standard error and number of defined batch means
-    at length index ``k``."""
-    means = [bm[k] for bm in batch_means if bm[k] is not None]
-    est, two_sigma = mean_and_2sigma(means)
+def _batch_row(length: int, means: Sequence[float]) -> BalanceRow:
+    """The row at ``length`` from its defined batch means: their mean, and
+    twice their standard deviation over sqrt(their number)."""
+    r, two_sigma = mean_and_2sigma(means)
     stderr = None if two_sigma is None else two_sigma / math.sqrt(len(means))
-    return est, stderr, len(means)
+    return balance_row(length, r, stderr=stderr)
 
 
 def _batch_ratio(agg: str, counts) -> list[float | None]:
@@ -214,15 +195,15 @@ def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
                     round_index: int = 0) -> MonteCarloReport:
     """Draw batches of snowball samples and aggregate exact censuses of them.
 
-    The estimate per length is the mean of defined batch ratios; the reported
-    uncertainty is twice the standard deviation of batch means over
-    sqrt(#batches used).  ``workers`` processes draw the samples; 1 draws
-    them in this process.  Each task censuses a run of samples of one batch
-    (module docstring).
+    R per length is the mean of the defined batch ratios; its stderr is
+    twice the standard deviation of those batch means over sqrt(their
+    number).  Up to ``workers`` processes, no more than there are tasks,
+    draw the samples; 1 draws them in this process.  Each task censuses a
+    run of samples of one batch (module docstring).  ``progress`` is called
+    after each batch with the samples so far and each length's stderr.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    t0 = time.perf_counter()
     L = cfg.max_length
     tasks = [(cfg, round_index, *run) for run in _runs(cfg, workers)]
     if workers > 1:
@@ -232,14 +213,16 @@ def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
         # so that forked workers do not each load it again
         import numpy.random  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+        # a fork-context pool starts all its processes on the first map
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 initializer=_pool_init,
                                  initargs=(g,)) as pool:
             results = list(pool.map(_pool_task, tasks))
     else:
         results = [_census_run(g, *t) for t in tasks]
 
-    short_samples = sum(short for _, short in results)
-    batch_means: list[list[float | None]] = []
+    # per length index, the defined batch means so far
+    means: list[list[float]] = [[] for _ in range(L)]
     cycles_found = [0] * L
     per_batch = len(tasks) // cfg.batches
     for b in range(cfg.batches):
@@ -248,26 +231,21 @@ def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
         for pos, neg in counts:
             for k in range(L):
                 cycles_found[k] += pos[k] + neg[k]
-        batch_means.append(_batch_ratio(cfg.aggregation, counts))
+        for k, mean in enumerate(_batch_ratio(cfg.aggregation, counts)):
+            if mean is not None:
+                means[k].append(mean)
         if progress is not None:
             progress((b + 1) * cfg.samples_per_batch,
-                     _stderr_snapshot(batch_means, L))
+                     {k + 1: _batch_row(k + 1, m).stderr
+                      for k, m in enumerate(means)})
 
-    rows = []
-    for k in range(L):
-        est, stderr, used = _batch_stats(batch_means, k)
-        rows.append(MonteCarloRow(k + 1, est, stderr, cycles_found[k], used))
     return MonteCarloReport(
         config=cfg,
-        rows=tuple(rows),
-        short_samples=short_samples,
-        wall_time_s=time.perf_counter() - t0,
+        rows=tuple(_batch_row(k + 1, m) for k, m in enumerate(means)),
+        cycles_found=tuple(cycles_found),
+        short_samples=sum(short for _, short in results),
         total_samples=cfg.batches * cfg.samples_per_batch,
     )
-
-
-def _stderr_snapshot(batch_means, L) -> dict[int, float | None]:
-    return {k + 1: _batch_stats(batch_means, k)[1] for k in range(L)}
 
 
 def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
@@ -279,17 +257,25 @@ def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
 
     Lengths that never produced a cycle stay undefined and do not block
     convergence; the report lists converged and failed lengths.
+    ``progress`` counts the samples of all rounds so far.
     """
     if target <= 0:
         raise ValueError("target must be positive")
     round_index = 0
     total = 0
     current = cfg
+
+    def cumulative(done: int, snapshot: dict) -> None:
+        # done counts this round's samples; total, the earlier rounds'
+        progress(total + done, snapshot)
+
     while True:
-        report = run_monte_carlo(g, current, workers=workers,
-                                 progress=progress, round_index=round_index)
+        report = run_monte_carlo(
+            g, current, workers=workers,
+            progress=None if progress is None else cumulative,
+            round_index=round_index)
         total += report.total_samples
-        defined = [r for r in report.rows if r.estimate is not None]
+        defined = [r for r in report.rows if r.ratio_negative is not None]
         pending = [r.length for r in defined
                    if r.stderr is None or r.stderr > target]
         converged = tuple(r.length for r in defined

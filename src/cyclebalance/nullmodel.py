@@ -8,19 +8,18 @@ over odd counts has the closed form (1 - (1-2p)^l) / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (BalanceRow, BalanceTable, balance_table, cycle_census,
-                     estimate_ratios)
+from .engine import (BalanceTable, balance_row, balance_table, cycle_census,
+                     mean_and_2sigma)
 from .graph import SignedDigraph
-from .montecarlo import mean_and_2sigma
 
 __all__ = [
-    "NullBandRow",
     "null_ratio",
     "null_band",
+    "with_null_bands",
     "shuffle_null",
     "CorrelationFit",
     "fit_correlation_length",
@@ -33,15 +32,6 @@ FIT_THRESHOLD = 0.45
 XI_BOUNDS = (1e-3, 1e3)
 
 
-@dataclass(frozen=True)
-class NullBandRow:
-    length: int
-    ratio: float            # expected negative fraction under the null
-    lower: float
-    upper: float
-    total_cycles: int
-
-
 def null_ratio(p: float, length: int) -> float:
     """Probability that a length-l cycle is negative under independent signs."""
     if not 0.0 <= p <= 1.0:
@@ -51,14 +41,28 @@ def null_ratio(p: float, length: int) -> float:
     return (1.0 - (1.0 - 2.0 * p) ** length) / 2.0
 
 
-def null_band(p: float, length: int, total_cycles: int) -> NullBandRow:
-    """Two-sigma binomial confidence band around the null ratio, clamped."""
+def null_band(p: float, length: int, total_cycles: int
+              ) -> tuple[float, float]:
+    """(lower, upper): the two-sigma binomial confidence band around the
+    null ratio, clamped to [0, 1]."""
     if total_cycles < 1:
         raise ValueError("need at least one cycle for a defined band")
     r = null_ratio(p, length)
     half = 2.0 * math.sqrt(r * (1.0 - r)) / math.sqrt(total_cycles)
-    return NullBandRow(length, r, max(0.0, r - half), min(1.0, r + half),
-                       total_cycles)
+    return max(0.0, r - half), min(1.0, r + half)
+
+
+def with_null_bands(table: BalanceTable, p: float) -> BalanceTable:
+    """``table`` with its null columns filled for negative-edge probability
+    ``p``: the null ratio at every length, and its band at lengths with
+    cycles."""
+    rows = []
+    for row in table.rows:
+        total = row.n_pos + row.n_neg
+        lo, hi = null_band(p, row.length, total) if total else (None, None)
+        rows.append(replace(row, null_ratio=null_ratio(p, row.length),
+                            null_lo=lo, null_hi=hi))
+    return BalanceTable(tuple(rows))
 
 
 def _shuffled_graph(g: SignedDigraph, rng: np.random.Generator) -> SignedDigraph:
@@ -96,6 +100,8 @@ def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
     """
     if shuffles < 1:
         raise ValueError("need at least one shuffle")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     per_length: dict[int, list[float]] = {l: [] for l in range(1, max_length + 1)}
     counts: dict[int, tuple[int, int]] = {l: (0, 0) for l in range(1, max_length + 1)}
     for k in range(shuffles):
@@ -109,8 +115,7 @@ def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
     rows = []
     for l in range(1, max_length + 1):
         mean, spread = mean_and_2sigma(per_length[l])
-        rows.append(BalanceRow(l, *counts[l], mean, *estimate_ratios(mean),
-                               spread))
+        rows.append(balance_row(l, mean, *counts[l], stderr=spread))
     return ShuffleNullResult(BalanceTable(tuple(rows)), shuffles)
 
 

@@ -342,17 +342,18 @@ def test_criterion_8_monte_carlo_calibration():
     for ell in range(2, 9):
         row = base.row(ell)
         tot = exact.total(ell)
-        if row.estimate is None or tot == 0 or row.cycles_found < 50:
+        if (row.ratio_negative is None or tot == 0
+                or base.cycles_found[ell - 1] < 50):
             continue
         truth = exact.n_neg(ell) / tot
         # stderr is 2 sigma of the batch-mean distribution
-        if abs(row.estimate - truth) > 1.5 * (row.stderr or 0.0):
+        if abs(row.ratio_negative - truth) > 1.5 * (row.stderr or 0.0):
             misses.append(ell)
     ratios = []
     for ell in range(3, 9):
         a, b = base.row(ell), doubled.row(ell)
-        if (a.stderr and b.stderr and a.cycles_found >= 50
-                and b.cycles_found >= 50):
+        if (a.stderr and b.stderr and base.cycles_found[ell - 1] >= 50
+                and doubled.cycles_found[ell - 1] >= 50):
             ratios.append(b.stderr / a.stderr)
     gm = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     scaling_ok = 0.7071 * 0.7 <= gm <= 0.7071 * 1.3
@@ -384,9 +385,9 @@ def test_criterion_9_null_model():
         for row in res.mean.rows:
             if row.length > 6 or row.ratio_negative is None:
                 continue
-            band = null_band(p, row.length, exact.total(row.length))
+            lo, hi = null_band(p, row.length, exact.total(row.length))
             total += 1
-            if band.lower - 1e-12 <= row.ratio_negative <= band.upper + 1e-12:
+            if lo - 1e-12 <= row.ratio_negative <= hi + 1e-12:
                 inside += 1
     frac = inside / total
     _report("criterion 9: null_ratio(0.5)=0.5; shuffle means inside the "

@@ -103,6 +103,18 @@ def test_montecarlo_workers_below_one_is_usage_error(workers, triad_file,
     assert "usage error: workers must be >= 1" in err
 
 
+@pytest.mark.parametrize("cmd, flags", [
+    ("montecarlo", ["--samples", "2", "--batches", "2", "--sample-size", "3"]),
+    ("shufflenull", ["--shuffles", "2"]),
+])
+def test_negative_seed_is_usage_error(cmd, flags, triad_file, capsys):
+    code, out, err = run(capsys, cmd, "--input", str(triad_file),
+                         "--max-length", "3", "--seed", "-1", *flags)
+    assert code == 1
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err
+
+
 def test_null_and_shufflenull(triad_file, capsys):
     code, out, _ = run(capsys, "null", "--input", str(triad_file),
                        "--max-length", "3", "--format", "csv")

@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from cyclebalance import engine, subgraphs
 from cyclebalance.engine import (CycleCensus, CycleEngineError, _exact_dtype,
-                                 _has_cycle, balance_table, cycle_census,
-                                 exact_low_order_ratios)
+                                 _has_cycle, balance_row, balance_table,
+                                 cycle_census, exact_low_order_ratios)
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.montecarlo import sample_connected_vertex_set
 from cyclebalance.oracle import brute_force_census, complete_graph_census
@@ -354,6 +355,29 @@ def test_balance_table_ratios():
     assert r2.ratio_negative == 0 and r2.clustering == 1 and r2.neg_to_pos == 0
     r1 = table.row(1)
     assert r1.ratio_negative is None
+
+
+def test_balance_row_exact_from_fraction():
+    # U and K from an exact R = N^- / N equal the ratios of the counts, as
+    # Fractions: a float slipping in fails the type check
+    for n_pos in range(31):
+        for n_neg in range(31):
+            if n_pos + n_neg == 0:
+                continue
+            row = balance_row(3, Fraction(n_neg, n_pos + n_neg), n_pos, n_neg)
+            u = Fraction(n_neg, n_pos) if n_pos else math.inf
+            k = Fraction(n_pos - n_neg, n_pos + n_neg)
+            assert (row.neg_to_pos, row.clustering) == (u, k)
+            assert type(row.neg_to_pos) is type(u)
+            assert type(row.clustering) is Fraction
+
+
+def test_balance_row_from_float_and_undefined():
+    assert balance_row(2, 0.25, stderr=0.1) == engine.BalanceRow(
+        2, None, None, 0.25, 0.25 / 0.75, 0.5, 0.1)
+    assert balance_row(4, 1.0).neg_to_pos == math.inf
+    assert balance_row(5, None, 0, 0) == engine.BalanceRow(
+        5, 0, 0, None, None, None)
 
 
 def test_balance_table_symmetric_counts():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from cyclebalance import montecarlo
-from cyclebalance.engine import cycle_census
+from cyclebalance.engine import balance_row, cycle_census, mean_and_2sigma
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.montecarlo import (MonteCarloConfig, convergence_loop,
-                                     mean_and_2sigma, run_monte_carlo,
+                                     run_monte_carlo,
                                      sample_connected_vertex_set)
 from _util import clustered_graph, random_signed_digraph
 
@@ -28,6 +29,8 @@ def test_config_validation():
         MonteCarloConfig(1, 2, 5, 5, aggregation="median")
     with pytest.raises(ValueError, match="workers"):
         run_monte_carlo(TRIAD, MonteCarloConfig(1, 2, 3, 3), workers=0)
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        MonteCarloConfig(1, 2, 5, 5, master_seed=-1)
 
 
 @pytest.mark.parametrize("sample_size, max_length", [(0, 0), (3, -1)])
@@ -89,7 +92,7 @@ def test_run_reproducible_and_worker_independent():
     r1 = run_monte_carlo(g, cfg)
     r2 = run_monte_carlo(g, cfg)
     r3 = run_monte_carlo(g, cfg, workers=2)
-    key = lambda rep: [(r.estimate, r.stderr, r.cycles_found) for r in rep.rows]
+    key = lambda rep: (rep.rows, rep.cycles_found)
     assert key(r1) == key(r2) == key(r3)
 
 
@@ -97,9 +100,9 @@ def test_full_coverage_equals_exact():
     cfg = MonteCarloConfig(5, 2, 3, 3, master_seed=3)
     rep = run_monte_carlo(TRIAD, cfg)
     exact = cycle_census(TRIAD, 3)
-    assert rep.row(2).estimate == 0.0
+    assert rep.row(2).ratio_negative == 0.0
     assert rep.row(2).stderr == 0.0
-    assert rep.row(3).estimate == exact.n_neg(3) / exact.total(3) == 1.0
+    assert rep.row(3).ratio_negative == exact.n_neg(3) / exact.total(3) == 1.0
 
 
 def test_all_positive_zero_variance():
@@ -107,7 +110,7 @@ def test_all_positive_zero_variance():
     cfg = MonteCarloConfig(4, 3, 4, 4, master_seed=5)
     rep = run_monte_carlo(g, cfg)
     for ell in (2, 3, 4):
-        assert rep.row(ell).estimate == 0.0
+        assert rep.row(ell).ratio_negative == 0.0
         assert rep.row(ell).stderr == 0.0
 
 
@@ -115,8 +118,8 @@ def test_unobserved_lengths_undefined():
     cfg = MonteCarloConfig(3, 2, 3, 3, master_seed=1)
     g = parse_edge_list("0 1 1\n1 0 1\n1 2 1\n2 1 1")  # path: no 3-cycles
     rep = run_monte_carlo(g, cfg)
-    assert rep.row(3).estimate is None
-    assert rep.row(3).cycles_found == 0
+    assert rep.row(3).ratio_negative is None
+    assert rep.cycles_found[2] == 0
 
 
 def test_aggregation_modes_differ_sensibly():
@@ -125,7 +128,7 @@ def test_aggregation_modes_differ_sensibly():
     pooled = run_monte_carlo(g, MonteCarloConfig(8, 3, 3, 3, 7, "pooled"))
     mean = run_monte_carlo(g, MonteCarloConfig(8, 3, 3, 3, 7, "mean-of-ratios"))
     for rep in (pooled, mean):
-        r = rep.row(3).estimate
+        r = rep.row(3).ratio_negative
         if r is not None:
             assert 0.0 <= r <= 1.0
 
@@ -139,8 +142,20 @@ def test_pooled_estimates_in_unit_interval(rng):
         cfg = MonteCarloConfig(4, 2, 4, 4, master_seed=rng.randint(0, 999))
         rep = run_monte_carlo(g, cfg)
         for row in rep.rows:
-            if row.estimate is not None:
-                assert 0.0 <= row.estimate <= 1.0
+            if row.ratio_negative is not None:
+                assert 0.0 <= row.ratio_negative <= 1.0
+
+
+def test_convergence_loop_progress_is_cumulative():
+    # an unreachable target and a cap of 12 samples: rounds of 4 and 8
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfg = MonteCarloConfig(2, 2, 6, 4, master_seed=1)
+    done = []
+    report = convergence_loop(g, cfg, target=1e-9, cap=12,
+                              progress=lambda n, _: done.append(n))
+    assert report.failed_lengths
+    assert done == [2, 4, 8, 12]
+    assert done[-1] == report.total_samples
 
 
 def test_progress_hook_called():
@@ -167,12 +182,13 @@ def test_convergence_loop_cap_flags_partial(rng):
     assert rep.total_samples >= 4
     # with such a tiny target something must usually fail to converge;
     # accept either outcome but require the flags to be consistent
-    defined = {r.length for r in rep.rows if r.estimate is not None}
+    defined = {r.length for r in rep.rows if r.ratio_negative is not None}
     assert set(rep.converged_lengths) | set(rep.failed_lengths) == defined
 
 
 def _pooled_reference(g, cfg):
-    """Rows of a pooled run from a census of each sample, summed per batch."""
+    """Rows and cycles found of a pooled run from a census of each sample,
+    summed per batch."""
     L = cfg.max_length
     means, found = [], [0] * L
     for b in range(cfg.batches):
@@ -192,8 +208,8 @@ def _pooled_reference(g, cfg):
         defined = [m[k] for m in means if m[k] is not None]
         est, two_sigma = mean_and_2sigma(defined)
         stderr = None if two_sigma is None else two_sigma / len(defined)**0.5
-        rows.append((k + 1, est, stderr, found[k], len(defined)))
-    return rows
+        rows.append(balance_row(k + 1, est, stderr=stderr))
+    return tuple(rows), tuple(found)
 
 
 def test_pooled_batches_equal_summed_sample_censuses():
@@ -201,13 +217,46 @@ def test_pooled_batches_equal_summed_sample_censuses():
     # when batches are fewer than workers: 2, 2, 4 and 6 tasks here
     g = clustered_graph(42, 3, clusters=3, size=12)
     cfg = MonteCarloConfig(5, 2, 9, 6, master_seed=8)
-    want = _pooled_reference(g, cfg)
+    want_rows, want_found = _pooled_reference(g, cfg)
     for workers in (1, 2, 3, 5):
         rep = run_monte_carlo(g, cfg, workers=workers)
-        assert [(r.length, r.estimate, r.stderr, r.cycles_found,
-                 r.batches_used) for r in rep.rows] == want, workers
+        assert rep.rows == want_rows, workers
+        assert rep.cycles_found == want_found, workers
         assert rep.total_samples == 10
-    assert sum(r[3] for r in want[2:]) > 0
+    assert sum(want_found[2:]) > 0
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_pool_capped_at_task_count(monkeypatch):
+    # a fork-context pool starts all max_workers processes on its first map
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "max_workers", [])
+    monkeypatch.setattr(montecarlo, "_POOL_GRAPH", None)
+    cfg = MonteCarloConfig(5, 2, 3, 3)
+    one = run_monte_carlo(TRIAD, cfg)
+    for workers, pool in [(64, 10), (3, 3), (4, 4)]:
+        assert run_monte_carlo(TRIAD, cfg, workers=workers) == one
+        assert _InProcessPool.max_workers[-1] == pool, workers
 
 
 def test_fewer_batches_than_workers_split_into_runs():
