@@ -93,6 +93,7 @@ def build_parser() -> _Parser:
     _add_common(shuffle)
     shuffle.add_argument("--shuffles", type=int, default=20)
     shuffle.add_argument("--seed", type=int, default=0)
+    shuffle.add_argument("--workers", type=int, default=1)
 
     fit = sub.add_parser("fit", help="correlation-length fit")
     _add_common(fit)
@@ -222,7 +223,8 @@ def _cmd_null(args) -> int:
 
 def _cmd_shufflenull(args) -> int:
     g = _load(args)
-    res = shuffle_null(g, args.max_length, args.shuffles, seed=args.seed)
+    res = shuffle_null(g, args.max_length, args.shuffles, seed=args.seed,
+                       workers=args.workers)
     _emit(args, g, "null", res.mean.rows,
           {"max_length": args.max_length, "shuffles": args.shuffles,
            "seed": args.seed})

@@ -115,11 +115,11 @@ census with the same L and arc arrays, compared in full, takes that series
 and traces only the signed stack; any other topology computes both
 series in one pass and replaces the entry.  So repeat censuses of one
 graph, and the sign shuffles of ``nullmodel.shuffle_null``, which permute
-signs over a fixed topology, trace |A_H| once.  The checks still run on
-every census: every series computed is checked for divisibility, and
-``CycleCensus.from_weights`` checks the parity and magnitude of the fresh
-signed series against the reused unsigned one.  The entry holds 16 bytes
-per arc and L integers.
+signs over a fixed topology, trace |A_H| once per process.  The checks
+still run on every census: every series computed is checked for
+divisibility, and ``CycleCensus.from_weights`` checks the parity and
+magnitude of the fresh signed series against the reused unsigned one.
+The entry holds 16 bytes per arc and L integers.
 
 Each census logs one DEBUG record per subgraph size on the
 ``cyclebalance.engine`` logger: subgraphs, cyclic subgraphs, slices and the

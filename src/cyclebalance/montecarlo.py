@@ -7,17 +7,21 @@ counts: R is the mean of the batch means, U and K follow from it, and
 stderr is the 2-sigma error of R.  The cycles seen at each length are
 summed over all samples in the report's ``cycles_found``.
 
-Every sample's random stream is derived from (master_seed, round, batch,
-sample), so results are bit-identical for a given configuration regardless
-of worker count or scheduling.
+Every sample's random stream is derived from (master_seed, 0, batch,
+sample) alone, so results are bit-identical for a given configuration
+regardless of worker count or scheduling, and the convergence loop's
+rounds extend the batches they kept instead of drawing them again.
 
-A run of consecutive samples of one batch is one task: one run per batch,
+This process draws every sample and builds each task's graph; a task is
+one graph and its census.  Under ``pooled`` aggregation the graph is a run
+of consecutive samples of one batch laid side by side: one run per batch,
 or, with fewer batches than workers, enough runs that no worker sits idle.
-Under ``pooled`` aggregation a run lays its samples' induced subgraphs side
-by side and counts them in one census: its cycles are those of the
-samples, so its counts are their exact integer sums, and the batch sums
-do not depend on how a batch is split.  Under ``mean-of-ratios`` each
-sample is a census of its own.
+Its cycles are those of the samples, so its counts are their exact integer
+sums, and the batch sums do not depend on how a batch is split.  Under
+``mean-of-ratios`` each sample is a task of its own.  With one worker the
+censuses run in this process; otherwise the workers of the pool in
+``parallel``, which is created on first use and lives until the
+interpreter exits, only count.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from .engine import BalanceRow, balance_row, cycle_census, mean_and_2sigma
 from .graph import GraphError, SignedDigraph, disjoint_union
+from .parallel import census_map
 
 __all__ = [
     "MonteCarloConfig",
@@ -120,38 +125,10 @@ def sample_connected_vertex_set(g: SignedDigraph, rng: np.random.Generator,
     return tuple(sorted(chosen)), short
 
 
-def _sample_rng(master_seed: int, round_index: int, batch: int, sample: int
+def _sample_rng(master_seed: int, batch: int, sample: int
                 ) -> np.random.Generator:
-    return np.random.default_rng([master_seed, round_index, batch, sample])
-
-
-# worker-process state for the process pool
-_POOL_GRAPH: SignedDigraph | None = None
-
-
-def _pool_init(g: SignedDigraph):
-    global _POOL_GRAPH
-    _POOL_GRAPH = g
-
-
-def _pool_task(args):
-    return _census_run(_POOL_GRAPH, *args)
-
-
-def _census_run(g, cfg: MonteCarloConfig, round_index, batch, first, stop):
-    """Census samples first..stop-1 of one batch: the (positive, negative)
-    counts of their union under pooled aggregation, else of each sample;
-    and how many samples were short."""
-    subs, short = [], 0
-    for sample in range(first, stop):
-        rng = _sample_rng(cfg.master_seed, round_index, batch, sample)
-        vs, cut = sample_connected_vertex_set(g, rng, cfg.sample_size)
-        short += cut
-        subs.append(g.induced_subgraph(vs)[0])
-    if cfg.aggregation == "pooled":
-        subs = [disjoint_union(subs)]
-    censuses = (cycle_census(sub, cfg.max_length) for sub in subs)
-    return [(c.positive, c.negative) for c in censuses], short
+    # the fixed 0 keeps the streams, and so the reports, of earlier releases
+    return np.random.default_rng([master_seed, 0, batch, sample])
 
 
 def _batch_row(length: int, means: Sequence[float]) -> BalanceRow:
@@ -179,73 +156,107 @@ def _batch_ratio(agg: str, counts) -> list[float | None]:
     return out
 
 
-def _runs(cfg: MonteCarloConfig, workers: int) -> list[tuple[int, int, int]]:
-    """(batch, first sample, stop) of each task: every batch is split into
-    the same number of runs, as few as keep ``workers`` busy."""
-    k = cfg.samples_per_batch
+def _runs(cfg: MonteCarloConfig, workers: int, first: int = 0
+          ) -> list[tuple[int, int, int]]:
+    """(batch, first sample, stop) of each run of samples ``first`` ..
+    ``samples_per_batch`` - 1: every batch is split into the same number
+    of runs, as few as keep ``workers`` busy."""
+    k = cfg.samples_per_batch - first
     pieces = min(k, -(-workers // cfg.batches))
-    cuts = [k * i // pieces for i in range(pieces + 1)]
+    cuts = [first + k * i // pieces for i in range(pieces + 1)]
     return [(b, lo, hi) for b in range(cfg.batches)
             for lo, hi in zip(cuts, cuts[1:])]
 
 
+class _Tally:
+    """Every batch's (positive, negative) counts so far, one pair per run
+    under pooled aggregation and per sample otherwise, with each batch's
+    means and the number of short samples."""
+
+    def __init__(self, cfg: MonteCarloConfig):
+        self.counts: list[list] = [[] for _ in range(cfg.batches)]
+        self.means: list[list[float | None] | None] = [None] * cfg.batches
+        self.short = 0
+
+    def add(self, g: SignedDigraph, cfg: MonteCarloConfig, first: int,
+            workers: int, progress: Callable[[int, dict], None] | None
+            ) -> None:
+        """Draw samples ``first`` .. ``cfg.samples_per_batch`` - 1 of every
+        batch in this process and census them, in this process or on the
+        worker pool, calling ``progress`` as each batch completes."""
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        pooled = cfg.aggregation == "pooled"
+        runs = _runs(cfg, workers if pooled else 1, first)
+
+        def graphs():
+            for b, lo, hi in runs:
+                subs = []
+                for sample in range(lo, hi):
+                    rng = _sample_rng(cfg.master_seed, b, sample)
+                    vs, short = sample_connected_vertex_set(
+                        g, rng, cfg.sample_size)
+                    self.short += short
+                    subs.append(g.induced_subgraph(vs)[0])
+                yield from [disjoint_union(subs)] if pooled else subs
+
+        owners = [b for b, lo, hi in runs
+                  for _ in range(1 if pooled else hi - lo)]
+        censuses = census_map(cycle_census, graphs(), len(owners),
+                              cfg.max_length, workers)
+        for i, (b, c) in enumerate(zip(owners, censuses)):
+            self.counts[b].append((c.positive, c.negative))
+            if i + 1 < len(owners) and owners[i + 1] == b:
+                continue
+            self.means[b] = _batch_ratio(cfg.aggregation, self.counts[b])
+            if progress is not None:
+                done = (cfg.batches * first
+                        + (b + 1) * (cfg.samples_per_batch - first))
+                progress(done, {r.length: r.stderr
+                                for r in self.rows(cfg.max_length)})
+
+    def rows(self, max_length: int) -> tuple[BalanceRow, ...]:
+        """Per length, the row from the defined means of the batches with
+        samples."""
+        means = [m for m in self.means if m is not None]
+        return tuple(_batch_row(k + 1, [m[k] for m in means
+                                        if m[k] is not None])
+                     for k in range(max_length))
+
+    def report(self, cfg: MonteCarloConfig) -> MonteCarloReport:
+        L = cfg.max_length
+        found = [0] * L
+        for pos, neg in (c for batch in self.counts for c in batch):
+            for k in range(L):
+                found[k] += pos[k] + neg[k]
+        return MonteCarloReport(
+            config=cfg,
+            rows=self.rows(L),
+            cycles_found=tuple(found),
+            short_samples=self.short,
+            total_samples=cfg.batches * cfg.samples_per_batch,
+        )
+
+
 def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
                     workers: int = 1,
-                    progress: Callable[[int, dict], None] | None = None,
-                    round_index: int = 0) -> MonteCarloReport:
+                    progress: Callable[[int, dict], None] | None = None
+                    ) -> MonteCarloReport:
     """Draw batches of snowball samples and aggregate exact censuses of them.
 
     R per length is the mean of the defined batch ratios; its stderr is
     twice the standard deviation of those batch means over sqrt(their
-    number).  Up to ``workers`` processes, no more than there are tasks,
-    draw the samples; 1 draws them in this process.  Each task censuses a
-    run of samples of one batch (module docstring).  ``progress`` is called
-    after each batch with the samples so far and each length's stderr.
+    number).  This process draws every sample and builds each task's
+    graph: a run's samples side by side under pooled aggregation, a single
+    sample otherwise (module docstring).  With ``workers`` 1 it also
+    counts them; otherwise min(workers, tasks) processes of the worker
+    pool do (``parallel``), which lives until the interpreter exits and
+    serves later calls.  ``progress`` is called after each batch with the
+    samples so far and each length's stderr.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    L = cfg.max_length
-    tasks = [(cfg, round_index, *run) for run in _runs(cfg, workers)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # numpy loads its random module on first use: load it here, once,
-        # so that forked workers do not each load it again
-        import numpy.random  # noqa: F401
-
-        # a fork-context pool starts all its processes on the first map
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                                 initializer=_pool_init,
-                                 initargs=(g,)) as pool:
-            results = list(pool.map(_pool_task, tasks))
-    else:
-        results = [_census_run(g, *t) for t in tasks]
-
-    # per length index, the defined batch means so far
-    means: list[list[float]] = [[] for _ in range(L)]
-    cycles_found = [0] * L
-    per_batch = len(tasks) // cfg.batches
-    for b in range(cfg.batches):
-        counts = [c for run, _ in results[b * per_batch:(b + 1) * per_batch]
-                  for c in run]
-        for pos, neg in counts:
-            for k in range(L):
-                cycles_found[k] += pos[k] + neg[k]
-        for k, mean in enumerate(_batch_ratio(cfg.aggregation, counts)):
-            if mean is not None:
-                means[k].append(mean)
-        if progress is not None:
-            progress((b + 1) * cfg.samples_per_batch,
-                     {k + 1: _batch_row(k + 1, m).stderr
-                      for k, m in enumerate(means)})
-
-    return MonteCarloReport(
-        config=cfg,
-        rows=tuple(_batch_row(k + 1, m) for k, m in enumerate(means)),
-        cycles_found=tuple(cycles_found),
-        short_samples=sum(short for _, short in results),
-        total_samples=cfg.batches * cfg.samples_per_batch,
-    )
+    tally = _Tally(cfg)
+    tally.add(g, cfg, 0, workers, progress)
+    return tally.report(cfg)
 
 
 def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
@@ -255,36 +266,28 @@ def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
     """Double the per-batch sample count until every length with data has a
     2-sigma half-width below ``target``, or the total sample cap is reached.
 
-    Lengths that never produced a cycle stay undefined and do not block
-    convergence; the report lists converged and failed lengths.
-    ``progress`` counts the samples of all rounds so far.
+    Each round draws only the new samples k .. 2k - 1 of every batch and
+    adds their counts to those kept, so the report equals that of
+    ``run_monte_carlo`` at the final sample count, apart from the
+    converged and failed lengths.  Lengths that never produced a cycle
+    stay undefined and do not block convergence.  ``progress`` counts the
+    samples of all rounds so far.
     """
     if target <= 0:
         raise ValueError("target must be positive")
-    round_index = 0
-    total = 0
-    current = cfg
-
-    def cumulative(done: int, snapshot: dict) -> None:
-        # done counts this round's samples; total, the earlier rounds'
-        progress(total + done, snapshot)
-
+    tally = _Tally(cfg)
+    first, current = 0, cfg
     while True:
-        report = run_monte_carlo(
-            g, current, workers=workers,
-            progress=None if progress is None else cumulative,
-            round_index=round_index)
-        total += report.total_samples
+        tally.add(g, current, first, workers, progress)
+        report = tally.report(current)
         defined = [r for r in report.rows if r.ratio_negative is not None]
         pending = [r.length for r in defined
                    if r.stderr is None or r.stderr > target]
         converged = tuple(r.length for r in defined
                           if r.stderr is not None and r.stderr <= target)
-        if not pending or total >= cap:
+        if not pending or report.total_samples >= cap:
             return replace(report,
                            converged_lengths=converged,
-                           failed_lengths=tuple(pending),
-                           total_samples=total)
-        round_index += 1
-        current = replace(current,
-                          samples_per_batch=current.samples_per_batch * 2)
+                           failed_lengths=tuple(pending))
+        first = current.samples_per_batch
+        current = replace(current, samples_per_batch=2 * first)

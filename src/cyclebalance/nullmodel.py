@@ -15,6 +15,7 @@ import numpy as np
 from .engine import (BalanceTable, balance_row, balance_table, cycle_census,
                      mean_and_2sigma)
 from .graph import SignedDigraph
+from .parallel import census_map
 
 __all__ = [
     "null_ratio",
@@ -90,24 +91,32 @@ class ShuffleNullResult:
 
 
 def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
-                 seed: int = 0) -> ShuffleNullResult:
+                 seed: int = 0, workers: int = 1) -> ShuffleNullResult:
     """Empirical null: average exact balance ratios over sign shuffles.
 
+    This process draws each shuffle from its own (seed, k) stream and,
+    with ``workers`` 1, counts it; otherwise min(workers, shuffles)
+    workers of the pool in ``parallel`` count them, with the same result.
     Each shuffle permutes signs over g's arcs, so its census reuses the
-    unsigned series the engine keeps for that topology: k shuffles cost k
-    signed passes and one unsigned pass, none if g was just counted at
-    ``max_length``.
+    unsigned series the engine keeps for that topology, one entry per
+    process: k shuffles cost k signed passes and one unsigned pass here
+    (none if g was just counted at ``max_length``), or at most one per
+    worker on the pool, whose workers keep their entry across tasks and
+    calls.
     """
     if shuffles < 1:
         raise ValueError("need at least one shuffle")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     per_length: dict[int, list[float]] = {l: [] for l in range(1, max_length + 1)}
     counts: dict[int, tuple[int, int]] = {l: (0, 0) for l in range(1, max_length + 1)}
-    for k in range(shuffles):
-        rng = np.random.default_rng([seed, k])
-        shuffled = _shuffled_graph(g, rng)
-        for row in balance_table(cycle_census(shuffled, max_length)).rows:
+    graphs = (_shuffled_graph(g, np.random.default_rng([seed, k]))
+              for k in range(shuffles))
+    for census in census_map(cycle_census, graphs, shuffles, max_length,
+                             workers):
+        for row in balance_table(census).rows:
             if row.ratio_negative is not None:
                 per_length[row.length].append(float(row.ratio_negative))
             p0, n0 = counts[row.length]

@@ -62,6 +62,14 @@ def test_montecarlo_workers_same_output(triad_file, capsys):
     assert out1 == out2
 
 
+def test_shufflenull_workers_same_output(triad_file, capsys):
+    base = ("shufflenull", "--input", str(triad_file), "--max-length", "3",
+            "--shuffles", "3", "--seed", "5", "--format", "json")
+    _, out1, _ = run(capsys, *base)
+    _, out2, _ = run(capsys, *base, "--workers", "2")
+    assert out1 == out2
+
+
 def test_orbits_walks_lowexact(triad_file, capsys):
     for cmd in ("orbits", "walks", "lowexact"):
         length = ("--max-length", "3") if cmd != "lowexact" else ()
@@ -97,6 +105,17 @@ def test_montecarlo_workers_below_one_is_usage_error(workers, triad_file,
     code, out, err = run(capsys, "montecarlo", "--input", str(triad_file),
                          "--max-length", "3", "--samples", "2",
                          "--batches", "2", "--sample-size", "3",
+                         "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert "usage error: workers must be >= 1" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_shufflenull_workers_below_one_is_usage_error(workers, triad_file,
+                                                      capsys):
+    code, out, err = run(capsys, "shufflenull", "--input", str(triad_file),
+                         "--max-length", "3", "--shuffles", "2",
                          "--workers", workers)
     assert code == 1
     assert out == ""

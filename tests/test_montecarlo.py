@@ -1,18 +1,21 @@
-import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cyclebalance import montecarlo
+from cyclebalance import montecarlo, parallel
 from cyclebalance.engine import balance_row, cycle_census, mean_and_2sigma
 from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
 from cyclebalance.montecarlo import (MonteCarloConfig, convergence_loop,
                                      run_monte_carlo,
                                      sample_connected_vertex_set)
+from cyclebalance.nullmodel import shuffle_null
 from _util import clustered_graph, random_signed_digraph
 
 TRIAD = parse_edge_list("0 1 1\n0 2 1\n1 2 -1", undirected=True)
@@ -96,6 +99,16 @@ def test_run_reproducible_and_worker_independent():
     assert key(r1) == key(r2) == key(r3)
 
 
+@pytest.mark.parametrize("aggregation", ["pooled", "mean-of-ratios"])
+def test_reports_identical_for_any_worker_count(aggregation):
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfg = MonteCarloConfig(3, 2, 8, 5, master_seed=6,
+                           aggregation=aggregation)
+    one, two, three = (run_monte_carlo(g, cfg, workers=w) for w in (1, 2, 3))
+    assert one == two == three
+    assert one.short_samples > 0 and sum(one.cycles_found[2:]) > 0
+
+
 def test_full_coverage_equals_exact():
     cfg = MonteCarloConfig(5, 2, 3, 3, master_seed=3)
     rep = run_monte_carlo(TRIAD, cfg)
@@ -147,15 +160,32 @@ def test_pooled_estimates_in_unit_interval(rng):
 
 
 def test_convergence_loop_progress_is_cumulative():
-    # an unreachable target and a cap of 12 samples: rounds of 4 and 8
+    # an unreachable target and a cap of 8 samples: a round of 4, then 4
+    # more that extend each batch from 2 samples to 4
     g = clustered_graph(42, 3, clusters=3, size=12)
     cfg = MonteCarloConfig(2, 2, 6, 4, master_seed=1)
     done = []
-    report = convergence_loop(g, cfg, target=1e-9, cap=12,
+    report = convergence_loop(g, cfg, target=1e-9, cap=8,
                               progress=lambda n, _: done.append(n))
     assert report.failed_lengths
-    assert done == [2, 4, 8, 12]
+    assert done == [2, 4, 6, 8]
     assert done[-1] == report.total_samples
+
+
+@pytest.mark.parametrize("aggregation", ["pooled", "mean-of-ratios"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_converged_report_equals_single_run(aggregation, workers):
+    # rounds of 1, 2 and 4 samples per batch add only the new samples, so
+    # the report is that of one run at the final count
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfg = MonteCarloConfig(1, 3, 6, 5, master_seed=9,
+                           aggregation=aggregation)
+    looped = convergence_loop(g, cfg, target=1e-9, cap=12, workers=workers)
+    assert looped.total_samples == 12
+    assert looped.failed_lengths
+    single = run_monte_carlo(g, replace(cfg, samples_per_batch=4))
+    assert replace(looped, converged_lengths=(), failed_lengths=()) == single
+    assert sum(single.cycles_found[2:]) > 0
 
 
 def test_progress_hook_called():
@@ -226,37 +256,56 @@ def test_pooled_batches_equal_summed_sample_censuses():
     assert sum(want_found[2:]) > 0
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process."""
-
-    max_workers: list[int] = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
 
 
-def test_pool_capped_at_task_count(monkeypatch):
-    # a fork-context pool starts all max_workers processes on its first map
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "max_workers", [])
-    monkeypatch.setattr(montecarlo, "_POOL_GRAPH", None)
-    cfg = MonteCarloConfig(5, 2, 3, 3)
+def test_pool_capped_at_task_count():
+    # 2 batches of one sample are 2 tasks, whatever the workers asked for
+    cfg = MonteCarloConfig(1, 2, 3, 3, master_seed=4)
     one = run_monte_carlo(TRIAD, cfg)
-    for workers, pool in [(64, 10), (3, 3), (4, 4)]:
-        assert run_monte_carlo(TRIAD, cfg, workers=workers) == one
-        assert _InProcessPool.max_workers[-1] == pool, workers
+    assert run_monte_carlo(TRIAD, cfg, workers=3) == one
+    assert parallel._POOL[0] == 2
+    assert len(_worker_pids()) == 2
+    # a single shuffle is a single task, counted in this process
+    assert shuffle_null(TRIAD, 3, 1, workers=3) == shuffle_null(TRIAD, 3, 1)
+    assert parallel._POOL[0] == 2
+
+
+def test_pool_reused_by_equal_calls():
+    cfg = MonteCarloConfig(3, 2, 4, 4, master_seed=2)
+    run_monte_carlo(TRIAD, cfg, workers=2)
+    pids = _worker_pids()
+    assert len(pids) == 2
+    run_monte_carlo(TRIAD, cfg, workers=2)
+    shuffle_null(TRIAD, 3, 4, workers=2)
+    assert _worker_pids() == pids
+
+
+def test_convergence_rounds_share_pool():
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfg = MonteCarloConfig(2, 2, 6, 4, master_seed=1)
+    seen = []
+    convergence_loop(g, cfg, target=1e-9, cap=16, workers=2,
+                     progress=lambda n, _: seen.append(_worker_pids()))
+    # rounds of 2, 2 and 4 new samples per batch, 2 batches each
+    assert len(seen) == 6
+    assert len(seen[0]) == 2
+    assert all(pids == seen[0] for pids in seen)
+
+
+def _exit_in_worker(g, max_length):
+    os._exit(1)
+
+
+def test_broken_pool_is_replaced():
+    graphs = [TRIAD, TRIAD]
+    with pytest.raises(BrokenProcessPool):
+        list(parallel.census_map(_exit_in_worker, graphs, 2, 3, 2))
+    assert parallel._POOL is None
+    cfg = MonteCarloConfig(1, 2, 3, 3)
+    assert run_monte_carlo(TRIAD, cfg, workers=2) == run_monte_carlo(TRIAD,
+                                                                     cfg)
 
 
 def test_fewer_batches_than_workers_split_into_runs():
@@ -275,6 +324,7 @@ import multiprocessing
 
 from cyclebalance.graph import parse_edge_list
 from cyclebalance.montecarlo import MonteCarloConfig, run_monte_carlo
+from cyclebalance.nullmodel import shuffle_null
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
@@ -287,20 +337,49 @@ if __name__ == "__main__":
         for rep in (one, two):
             print(aggregation, rep.rows, rep.short_samples,
                   rep.total_samples)
+    for w in (1, 2):
+        print("shuffle", shuffle_null(g, 5, 3, seed=2, workers=w))
 """
 
 
-def test_workers_agree_under_spawn(tmp_path):
-    # spawned workers receive the graph and each task by pickling
-    script = tmp_path / "spawn_run.py"
-    script.write_text(_SPAWN_SCRIPT)
+def _run_script(tmp_path, text: str) -> str:
+    script = tmp_path / "script.py"
+    script.write_text(text)
     src = Path(montecarlo.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, str(script)], env=env, text=True,
-                         capture_output=True, timeout=120, check=True).stdout
-    lines = out.splitlines()
-    assert len(lines) == 4
+    return subprocess.run([sys.executable, str(script)], env=env, text=True,
+                          capture_output=True, timeout=120, check=True).stdout
+
+
+def test_workers_agree_under_spawn(tmp_path):
+    # spawned workers receive each task's graph by pickling
+    lines = _run_script(tmp_path, _SPAWN_SCRIPT).splitlines()
+    assert len(lines) == 6
     assert lines[0] == lines[1] and lines[2] == lines[3]
+    assert lines[4] == lines[5]
     assert lines[0].startswith("pooled ")
     assert lines[2].startswith("mean-of-ratios ")
+    assert lines[4].startswith("shuffle ")
+
+
+_EXIT_SCRIPT = """
+import multiprocessing
+
+from cyclebalance.graph import parse_edge_list
+from cyclebalance.montecarlo import MonteCarloConfig, run_monte_carlo
+
+g = parse_edge_list("0 1 1\\n1 2 -1\\n2 0 1", undirected=True)
+run_monte_carlo(g, MonteCarloConfig(2, 2, 3, 3), workers=2)
+print(*(p.pid for p in multiprocessing.active_children()))
+"""
+
+
+def test_pool_workers_end_with_the_interpreter(tmp_path):
+    # the pool is never shut down by the caller: the interpreter's exit
+    # joins its workers, so run() returning means they are gone
+    pids = [int(pid) for pid in _run_script(tmp_path, _EXIT_SCRIPT).split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

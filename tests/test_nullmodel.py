@@ -110,6 +110,16 @@ def test_shuffle_reproducible():
     assert a == b
 
 
+def test_shuffle_null_identical_for_any_worker_count():
+    g = parse_edge_list("0 1 1\n1 2 -1\n2 0 1\n0 3 -1\n3 1 1\n3 2 -1",
+                        undirected=True)
+    one, two, three = (shuffle_null(g, 4, 5, seed=4, workers=w)
+                       for w in (1, 2, 3))
+    assert one == two == three
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        shuffle_null(g, 4, 5, workers=0)
+
+
 def _topology_changes(g, max_length):
     """(graph, max_length) pairs a step from g's topology: one arc removed,
     one reversed, one moved to another head of its tail, and a longer
