@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -292,6 +293,51 @@ def test_convergence_rounds_share_pool():
     assert len(seen) == 6
     assert len(seen[0]) == 2
     assert all(pids == seen[0] for pids in seen)
+
+
+def test_nested_call_of_another_size_shares_pool():
+    # a progress callback that runs estimates of another size reads from
+    # the live pool instead of shutting it down under the outer call
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfg = MonteCarloConfig(2, 2, 6, 4, master_seed=1)
+    inner_cfg = MonteCarloConfig(3, 2, 4, 4, master_seed=5)
+    want = run_monte_carlo(g, inner_cfg), shuffle_null(g, 4, 3, seed=1)
+    seen = []
+
+    def progress(n, _):
+        seen.append((run_monte_carlo(g, inner_cfg, workers=3),
+                     shuffle_null(g, 4, 3, seed=1, workers=3),
+                     _worker_pids()))
+
+    assert run_monte_carlo(g, cfg, workers=2,
+                           progress=progress) == run_monte_carlo(g, cfg)
+    assert len(seen) == 2
+    pids = seen[0][2]
+    assert len(pids) == 2
+    assert all((rep, null) == want and p == pids for rep, null, p in seen)
+    assert parallel._POOL[0] == 2 and parallel._READERS == 0
+    # with no call reading, the next call of another size replaces it
+    run_monte_carlo(g, inner_cfg, workers=3)
+    assert parallel._POOL[0] == 3
+
+
+def test_threads_share_pool():
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfgs = [MonteCarloConfig(2, 2, 6, 4, master_seed=s) for s in range(4)]
+    want = [run_monte_carlo(g, cfg) for cfg in cfgs]
+    # the pool starts in this thread; the threads ask for 2 and 3 workers
+    run_monte_carlo(g, cfgs[0], workers=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as threads:
+            got = list(threads.map(
+                lambda cfg, w: run_monte_carlo(g, cfg, workers=w),
+                cfgs, [2, 3, 2, 3], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert parallel._READERS == 0
 
 
 def _exit_in_worker(g, max_length):
