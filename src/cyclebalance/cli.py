@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: _Parser, *, max_length: bool = True):
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--undirected", action="store_true",
-                   help="symmetrize the input")
+                   help="read each edge in both orientations, with one sign")
     if max_length:
         p.add_argument("--max-length", type=int, default=20)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -71,7 +71,10 @@ def build_parser() -> _Parser:
     mc.add_argument("--target", type=float, default=None,
                     help="2-sigma convergence threshold; enables the "
                          "convergence loop")
-    mc.add_argument("--sample-cap", type=int, default=1_000_000)
+    mc.add_argument("--sample-cap", type=int, default=1_000_000,
+                    help="double the samples only while their total over "
+                         "all batches stays within this; the first round "
+                         "always runs")
 
     orbits = sub.add_parser("orbits", help="primitive-orbit balance")
     _add_common(orbits)

@@ -15,7 +15,7 @@ and a graph flagged ``from_undirected`` must have it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "GraphError",
     "ParseError",
-    "SignConflictError",
     "SignedDigraph",
     "disjoint_union",
     "load_edge_list",
@@ -44,10 +43,6 @@ class ParseError(GraphError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
-
-
-class SignConflictError(GraphError):
-    """The same vertex pair appears with both signs."""
 
 
 _SIGN_TOKENS = {
@@ -208,36 +203,19 @@ class SignedDigraph:
         rev = self._reverse_arcs()
         return np.flatnonzero((rev < 0) | (signs[rev] != signs))
 
-    def adjacency(self, signed: bool = True, dtype=np.int64) -> np.ndarray:
-        """Dense adjacency matrix A (signed) or |A| (unsigned)."""
+    def adjacency(self, dtype=np.int64) -> np.ndarray:
+        """Dense signed adjacency matrix A."""
         tails, heads, signs = self.arcs
         a = np.zeros((self.vertex_count, self.vertex_count), dtype=dtype)
-        a[tails, heads] = signs if signed else np.abs(signs)
+        a[tails, heads] = signs
         return a
 
     # -- derived graphs ----------------------------------------------------
 
-    def symmetrize(self) -> "SignedDigraph":
-        """Add the reverse of every edge; errors if (u,v) and (v,u) disagree."""
-        new_edges: dict[tuple[int, int], int] = {}
-        for (u, v), s in self.edges.items():
-            back = self.edges.get((v, u))
-            if back is not None and back != s:
-                raise SignConflictError(
-                    f"edges ({u}, {v}) and ({v}, {u}) carry opposite signs"
-                )
-            new_edges[(u, v)] = s
-            new_edges[(v, u)] = s
-        return SignedDigraph(self.vertex_count, new_edges,
-                             from_undirected=True,
-                             vertex_labels=self.vertex_labels)
-
     def without_self_loops(self) -> "SignedDigraph":
         """Graph on the same vertices with diagonal edges removed."""
-        kept = {(u, v): s for (u, v), s in self.edges.items() if u != v}
-        return SignedDigraph(self.vertex_count, kept,
-                             from_undirected=self.from_undirected,
-                             vertex_labels=self.vertex_labels)
+        return replace(self, edges={(u, v): s for (u, v), s
+                                    in self.edges.items() if u != v})
 
     def induced_subgraph(self, vertices: Sequence[int]
                          ) -> tuple["SignedDigraph", list[int]]:
@@ -260,20 +238,6 @@ class SignedDigraph:
             if not (0 <= v < self.vertex_count):
                 raise GraphError(f"vertex {v} not in graph")
         return sorted(set().union(*(self._und[v] for v in inside)) - inside)
-
-    def relabel(self, permutation: Sequence[int]) -> "SignedDigraph":
-        """Apply a vertex permutation (new id = permutation[old id])."""
-        if sorted(permutation) != list(range(self.vertex_count)):
-            raise GraphError("permutation must be a bijection on vertex ids")
-        edges = {(permutation[u], permutation[v]): s
-                 for (u, v), s in self.edges.items()}
-        return SignedDigraph(self.vertex_count, edges,
-                             from_undirected=self.from_undirected)
-
-    def to_edge_list(self) -> str:
-        """Serialize as 'src dst sign' lines (sorted, round-trip stable)."""
-        lines = [f"{u} {v} {s:+d}" for (u, v), s in sorted(self.edges.items())]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_edge_list(text: str, *, undirected: bool = False,
@@ -324,10 +288,17 @@ def parse_edge_list(text: str, *, undirected: bool = False,
 
 def load_edge_list(path, *, undirected: bool = False,
                    duplicate_policy: str = "reject") -> SignedDigraph:
-    """Read an edge-list file (SNAP soc-sign layout: FromNodeId ToNodeId Sign)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), undirected=undirected,
-                               duplicate_policy=duplicate_policy)
+    """Read a UTF-8 edge-list file (SNAP soc-sign layout: FromNodeId
+    ToNodeId Sign); bytes that do not decode are a ``ParseError``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8",
+                         raw.count(b"\n", 0, exc.start) + 1) from None
+    return parse_edge_list(text, undirected=undirected,
+                           duplicate_policy=duplicate_policy)
 
 
 def disjoint_union(graphs: Sequence[SignedDigraph]) -> SignedDigraph:

@@ -264,7 +264,8 @@ def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
                      progress: Callable[[int, dict], None] | None = None
                      ) -> MonteCarloReport:
     """Double the per-batch sample count until every length with data has a
-    2-sigma half-width below ``target``, or the total sample cap is reached.
+    2-sigma half-width below ``target``, or the next doubling would take
+    the total sample count above ``cap``.  The first round always runs.
 
     Each round draws only the new samples k .. 2k - 1 of every batch and
     adds their counts to those kept, so the report equals that of
@@ -285,7 +286,7 @@ def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
                    if r.stderr is None or r.stderr > target]
         converged = tuple(r.length for r in defined
                           if r.stderr is not None and r.stderr <= target)
-        if not pending or report.total_samples >= cap:
+        if not pending or 2 * report.total_samples > cap:
             return replace(report,
                            converged_lengths=converged,
                            failed_lengths=tuple(pending))

@@ -69,17 +69,19 @@ def with_null_bands(table: BalanceTable, p: float) -> BalanceTable:
 def _shuffled_graph(g: SignedDigraph, rng: np.random.Generator) -> SignedDigraph:
     """Permute the existing signs over edge slots, preserving counts exactly.
 
-    The slots are the arcs in (tail, head) order.  For symmetrized graphs
-    they are the arcs (u, v) with u <= v, and the result is symmetrized,
-    keeping the graph a valid undirected network.
+    The slots are the arcs in (tail, head) order.  For an undirected graph
+    they are the arcs (u, v) with u <= v, and each reverse arc (v, u) takes
+    the sign of its slot, keeping the graph a valid undirected network.
     """
     tails, heads, signs = g.arcs
     slots = (tails <= heads) | (not g.from_undirected)
-    edges = dict(zip(zip(tails[slots].tolist(), heads[slots].tolist()),
-                     signs[slots][rng.permutation(int(slots.sum()))].tolist()))
-    shuffled = SignedDigraph(g.vertex_count, edges,
-                             vertex_labels=g.vertex_labels)
-    return shuffled.symmetrize() if g.from_undirected else shuffled
+    shuffled = signs.copy()
+    shuffled[slots] = signs[slots][rng.permutation(int(slots.sum()))]
+    if g.from_undirected:
+        mirrors = ~slots
+        shuffled[mirrors] = shuffled[g._reverse_arcs()[mirrors]]
+    return replace(g, edges=dict(zip(zip(tails.tolist(), heads.tolist()),
+                                     shuffled.tolist())))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Primitive-orbit balance via the signed Hashimoto matrix.
 
 The Hashimoto (edge-adjacency, non-backtracking) matrix T of a digraph is
-indexed by directed edges: T[e, f] is nonzero iff e's head is f's tail and f
-is not e's reversal.  With forward sign assignment (every transition leaving
-edge e carries sign(e)), the product of entries around a closed non-
-backtracking walk equals the walk's sign, so signed traces of T^l separate
-positive from negative orbits.
+indexed by directed edges, in the (tail, head) order of ``arcs``: T[e, f] is
+nonzero iff e's head is f's tail and f is not e's reversal.  With forward
+sign assignment (every transition leaving edge e carries sign(e)), the
+product of entries around a closed non-backtracking walk equals the walk's
+sign, so signed traces of T^l separate positive from negative orbits.
 
 Primitive orbits (closed non-backtracking, tailless walks that are not
 powers of shorter ones) are counted from the traces by Mobius inversion
@@ -23,7 +23,6 @@ exponentials are shifted by the Perron root of |A| and taken with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .graph import GraphError, SignedDigraph
 from .subgraphs import _ranges
 
 __all__ = [
-    "HashimotoMatrix",
     "hashimoto_matrix",
     "mobius",
     "primitive_orbit_counts",
@@ -49,20 +47,9 @@ DENSE_CAP = 4096
 EXPM_CAP = 2000
 
 
-@dataclass(frozen=True)
-class HashimotoMatrix:
-    """Signed edge-adjacency matrix with its directed-edge index."""
-
-    edge_index: tuple[tuple[int, int], ...]  # row/col id -> (source, target)
-    matrix: np.ndarray                       # entries in {0, +1, -1}, dtype int64
-
-    @property
-    def dimension(self) -> int:
-        return len(self.edge_index)
-
-
-def hashimoto_matrix(g: SignedDigraph) -> HashimotoMatrix:
-    """Build T for a loopless graph; raises if self-loops are present."""
+def hashimoto_matrix(g: SignedDigraph) -> np.ndarray:
+    """T of a loopless graph, int64 with entries in {0, +1, -1}, its rows and
+    columns in ``g.arcs`` order; raises if self-loops are present."""
     if g.has_self_loops():
         raise GraphError(
             "Hashimoto matrix requires a loopless graph; strip self-loops "
@@ -77,7 +64,7 @@ def hashimoto_matrix(g: SignedDigraph) -> HashimotoMatrix:
     keep = heads[f] != tails[e]
     t = np.zeros((len(tails), len(tails)), dtype=np.int64)
     t[e[keep], f[keep]] = signs[e[keep]]
-    return HashimotoMatrix(tuple(zip(tails.tolist(), heads.tolist())), t)
+    return t
 
 
 def mobius(n: int) -> int:
@@ -125,7 +112,7 @@ def primitive_orbit_counts(g: SignedDigraph, max_length: int) -> CycleCensus:
             f"Hashimoto dimension {g.edge_count} exceeds the dense cap "
             f"{DENSE_CAP}; orbit counting at this scale is not supported"
         )
-    mat = hashimoto_matrix(g).matrix
+    mat = hashimoto_matrix(g)
     tr_s, tr_u = zip(*(map(int, tr) for tr in _power_traces(
         np.stack([mat, np.abs(mat)]), 1, max_length)))
     tot = {1: 0, 2: 0}
@@ -162,18 +149,16 @@ def stark_terras_orbit_walks(g: SignedDigraph, max_length: int
                          "(symmetric) graphs")
     if g.has_self_loops():
         raise GraphError("strip self-loops before the orbit-walk recursion")
-    n = g.vertex_count
     a = g.adjacency()
     ap, am = ((a == s).astype(np.int64).astype(object) for s in (1, -1))
     deg = ap.sum(axis=1) + am.sum(axis=1)
     q = np.diag(deg - 1)
-    ident = np.eye(n, dtype=object)
 
     plus = [None, ap]    # A+_l, 1-indexed
     minus = [None, am]
     for ell in range(2, max_length + 1):
         if ell == 2:
-            p = ap @ ap + am @ am - (q + ident)
+            p = ap @ ap + am @ am - np.diag(deg)
             m = am @ ap + ap @ am
         else:
             p = plus[ell - 1] @ ap + minus[ell - 1] @ am - plus[ell - 2] @ q
@@ -181,17 +166,15 @@ def stark_terras_orbit_walks(g: SignedDigraph, max_length: int
         plus.append(p)
         minus.append(m)
 
-    out = []
-    qm = q - ident
-    for ell in range(1, max_length + 1):
-        tail_p = sum((qm @ plus[ell - 2 * j] for j in range(1, (ell - 1) // 2 + 1)),
-                     np.zeros((n, n), dtype=object))
-        tail_m = sum((qm @ minus[ell - 2 * j] for j in range(1, (ell - 1) // 2 + 1)),
-                     np.zeros((n, n), dtype=object))
-        wp = int((plus[ell] - tail_p).trace())
-        wm = int((minus[ell] - tail_m).trace())
-        out.append((wp, wm))
-    return out
+    qm = np.diag(deg - 2)  # Q - I
+
+    def closed(walks, ell):
+        # the tail correction: Tr (Q - I) A_k for k = l - 2, l - 4, ... >= 1
+        tail = sum(int((qm @ walks[k]).trace()) for k in range(ell - 2, 0, -2))
+        return int(walks[ell].trace()) - tail
+
+    return [(closed(plus, ell), closed(minus, ell))
+            for ell in range(1, max_length + 1)]
 
 
 def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
@@ -204,7 +187,7 @@ def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    a = g.adjacency(signed=True)
+    a = g.adjacency()
     signed, unsigned = [int(np.trace(a))], [int(np.trace(np.abs(a)))]
     np.fill_diagonal(a, 0)
     for tr in _power_traces(np.stack([a, np.abs(a)]), 2, max_length):
@@ -232,7 +215,7 @@ def weighted_degree_of_balance(g: SignedDigraph) -> tuple[float, float]:
     if n > EXPM_CAP:
         raise GraphError(f"graph has {n} vertices, above the size cap "
                          f"{EXPM_CAP} for dense exponentials")
-    a = g.adjacency(signed=True, dtype=np.float64)
+    a = g.adjacency(dtype=np.float64)
     b = np.abs(a)
     shift = np.linalg.eigvals(b).real.max(initial=0.0) * np.eye(n)
     k = float(np.trace(expm(a - shift))) / float(np.trace(expm(b - shift)))

@@ -24,6 +24,16 @@ def random_signed_digraph(rng: random.Random, max_vertices: int = 9,
     return SignedDigraph(n, edges, from_undirected=undirected)
 
 
+def with_opposite_reverses(g: SignedDigraph, rng: random.Random
+                           ) -> SignedDigraph:
+    """g plus, for some arcs (u, v), a reverse arc (v, u) of opposite sign."""
+    edges = dict(g.edges)
+    for (u, v), s in g.edges.items():
+        if u != v and (v, u) not in g.edges and rng.random() < 0.3:
+            edges[(v, u)] = -s
+    return SignedDigraph(g.vertex_count, edges)
+
+
 def clustered_graph(structure_seed: int, sign_seed: int, clusters: int = 10,
                     size: int = 20, p_in: float = 0.20, p_neg: float = 0.3
                     ) -> SignedDigraph:

@@ -294,8 +294,7 @@ def test_criterion_7_orbit_walk_identities():
         if g.edge_count == 0:
             continue
         checked += 1
-        h = hashimoto_matrix(g)
-        ts = h.matrix.astype(object)
+        ts = hashimoto_matrix(g).astype(object)
         tu = np.abs(ts)
         walks = stark_terras_orbit_walks(g, 10)
         ps, pu = ts.copy(), tu.copy()

@@ -189,6 +189,14 @@ def test_exit_code_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_input_is_data_error(tmp_path, capsys):
+    p = tmp_path / "latin1.tsv"
+    p.write_bytes(b"0 1 1\n0 2 \xff\n")
+    code, _, err = run(capsys, "census", "--input", str(p))
+    assert code == 2
+    assert "data error" in err and "line 2" in err
+
+
 def test_exit_code_non_convergence(triad_file, capsys):
     code, out, _ = run(capsys, "montecarlo", "--input", str(triad_file),
                        "--max-length", "3", "--samples", "1", "--batches", "2",

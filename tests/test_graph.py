@@ -2,13 +2,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from cyclebalance.graph import (GraphError, ParseError, SignConflictError,
-                                SignedDigraph, complete_graph, load_edge_list,
+from cyclebalance.graph import (GraphError, ParseError, SignedDigraph,
+                                complete_graph, load_edge_list,
                                 parse_edge_list)
-from _util import random_signed_digraph
+from _util import random_signed_digraph, with_opposite_reverses
 
 
 def test_parse_basic():
@@ -50,23 +48,6 @@ def test_parse_malformed_line_reports_number():
     assert exc.value.line_number == 2
     with pytest.raises(ParseError):
         parse_edge_list("0 1 2")
-
-
-def test_symmetrize_single_edge():
-    g = parse_edge_list("0 1 1").symmetrize()
-    assert dict(g.edges) == {(0, 1): 1, (1, 0): 1}
-    assert g.from_undirected
-
-
-def test_symmetrize_idempotent():
-    g = parse_edge_list("0 1 1\n1 2 -1").symmetrize()
-    assert dict(g.symmetrize().edges) == dict(g.edges)
-
-
-def test_symmetrize_sign_conflict():
-    g = parse_edge_list("0 1 1\n1 0 -1")
-    with pytest.raises(SignConflictError):
-        g.symmetrize()
 
 
 def test_induced_subgraph_identity_and_pair():
@@ -115,33 +96,11 @@ def test_negative_fraction_cases():
 def test_round_trip_serialization(tmp_path):
     g = parse_edge_list("0 1 1\n1 2 -1\n2 0 1\n0 0 -1")
     path = tmp_path / "g.tsv"
-    path.write_text(g.to_edge_list())
+    path.write_text("".join(f"{u} {v} {s:+d}\n"
+                            for (u, v), s in sorted(g.edges.items())))
     again = load_edge_list(path)
     assert dict(again.edges) == dict(g.edges)
     assert again.vertex_count == g.vertex_count
-
-
-@given(st.integers(min_value=1, max_value=8), st.data())
-def test_relabel_preserves_structure(n, data):
-    edges = {}
-    for u in range(n):
-        for v in range(n):
-            if u != v and data.draw(st.booleans()):
-                edges[(u, v)] = data.draw(st.sampled_from((1, -1)))
-    g = SignedDigraph(n, edges)
-    perm = data.draw(st.permutations(range(n)))
-    h = g.relabel(list(perm))
-    assert h.edge_count == g.edge_count
-    assert sorted(h.edges.values()) == sorted(g.edges.values())
-
-
-def _with_opposite_reverses(g, rng):
-    """g plus, for some arcs (u, v), a reverse arc (v, u) of opposite sign."""
-    edges = dict(g.edges)
-    for (u, v), s in g.edges.items():
-        if u != v and (v, u) not in g.edges and rng.random() < 0.3:
-            edges[(v, u)] = -s
-    return SignedDigraph(g.vertex_count, edges)
 
 
 def test_arcs_and_symmetric_match_their_definitions(rng):
@@ -150,7 +109,7 @@ def test_arcs_and_symmetric_match_their_definitions(rng):
         g = random_signed_digraph(rng, max_vertices=8, edge_prob=0.35,
                                   loop_prob=0.3, undirected=k % 3 == 0)
         if k % 3 == 1:
-            g = _with_opposite_reverses(g, rng)
+            g = with_opposite_reverses(g, rng)
         tails, heads, signs = g.arcs
         assert (tails.dtype, heads.dtype, signs.dtype) == \
             (np.int64, np.int64, np.int8)

@@ -173,6 +173,19 @@ def test_convergence_loop_progress_is_cumulative():
     assert done[-1] == report.total_samples
 
 
+def test_convergence_loop_stays_within_cap():
+    # rounds of 12, 12 and 24 samples reach 48; the next doubling, to 96,
+    # would pass the cap of 60 and is not drawn
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfg = MonteCarloConfig(4, 3, 6, 4, master_seed=1)
+    done = []
+    report = convergence_loop(g, cfg, target=1e-9, cap=60,
+                              progress=lambda n, _: done.append(n))
+    assert report.failed_lengths
+    assert report.total_samples == 48
+    assert max(done) == 48
+
+
 @pytest.mark.parametrize("aggregation", ["pooled", "mean-of-ratios"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_converged_report_equals_single_run(aggregation, workers):

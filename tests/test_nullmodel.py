@@ -18,7 +18,7 @@ from cyclebalance.nullmodel import (CorrelationFit, _shuffled_graph,
                                     model_ratio, null_band, null_ratio,
                                     shuffle_null)
 from cyclebalance.oracle import brute_force_census
-from _util import random_signed_digraph
+from _util import random_signed_digraph, with_opposite_reverses
 
 
 def test_null_ratio_endpoints():
@@ -94,6 +94,41 @@ def test_shuffle_pinned_signs(undirected, before, after):
     assert (signs(g), signs(shuffled)) == (before, after)
     assert set(shuffled.edges) == set(g.edges)
     assert shuffled.from_undirected is undirected
+
+
+def _reference_shuffle(g, rng):
+    """The edges of a shuffle by the rule as first written: permute the
+    signs of the slots, the arcs in (tail, head) order, or for an
+    undirected graph those with tail <= head, then mirror each slot (u, v)
+    onto (v, u)."""
+    slots = [(u, v) for u, v in sorted(g.edges)
+             if u <= v or not g.from_undirected]
+    edges = {}
+    for slot, k in zip(slots, rng.permutation(len(slots))):
+        edges[slot] = g.edges[slots[k]]
+        if g.from_undirected:
+            edges[slot[::-1]] = edges[slot]
+    return edges
+
+
+def test_shuffle_matches_slot_permutation_reference(rng):
+    kinds = {"undirected": 0, "directed": 0, "opposite": 0}
+    for k in range(90):
+        g = random_signed_digraph(rng, max_vertices=8, edge_prob=0.4,
+                                  loop_prob=0.3, undirected=k % 3 == 0)
+        if k % 3 == 2:
+            g = with_opposite_reverses(g, rng)
+        shuffled = _shuffled_graph(g, np.random.default_rng([k, 1]))
+        assert dict(shuffled.edges) == \
+            _reference_shuffle(g, np.random.default_rng([k, 1]))
+        assert shuffled.from_undirected is g.from_undirected
+        assert shuffled.vertex_labels == g.vertex_labels
+        # a directed pair of opposite signs is two slots
+        opposite = any(g.edges.get((v, u)) == -s
+                       for (u, v), s in g.edges.items())
+        kinds["opposite" if opposite else
+              "undirected" if g.from_undirected else "directed"] += 1
+    assert min(kinds.values()) >= 10
 
 
 def test_shuffle_all_positive_is_identity():
