@@ -33,7 +33,10 @@ that holds it, and loops are dropped, which changes no count of length
 consecutive bicomponents of at most 64 vertices, one mask word, a larger
 bicomponent forming a group of its own; its subgraphs are those of the
 bicomponents, with |N(H)| taken within one, summed into the same sums.
-Nothing is enumerated when L <= 2 or when there is no bicomponent.
+Nothing is enumerated when L <= 2 or when there is no bicomponent.  A
+cycle of length l >= 3 needs a bicomponent of at least l vertices, so the
+enumeration and every trace stop at top = min(L, the largest bicomponent's
+vertex count), and the lengths past top are counted as zero.
 Lengths 1 and 2, loops and pairs of antiparallel arcs, may lie on a cut
 vertex or a bridge, outside every bicomponent or in several; they are read
 from ``g.arcs``, so each counts once.
@@ -51,8 +54,10 @@ that stays below 2^p in magnitude is exact.  Hence four rungs: float32
 arithmetic is exact while the bound is below 2^24, float64 while it is
 below 2^53, int64 while it is below 2^62, and object (Python int)
 arithmetic always.  Each array is computed in the cheapest of these that
-its bound allows, and is only ever cast up that ladder: a float array is
-widened to int64 before object, so an object array never holds floats.
+its bound allows, and is only ever cast up that ladder, save that a sum
+whose own bound is below 2^62 is taken in int64 from object values (see
+"Slices and sums"): a float array is widened to int64 before object, so an
+object array never holds floats.
 
 Traces along the ESU tree.  Each subgraph H is its parent P, H without its
 last vertex w, plus w: A_H = [[A_P, c], [u, a]].  Its traces are the
@@ -75,15 +80,16 @@ ladder above applies degree by degree.
 
 Slices and sums.  ``subgraphs.size_classes`` hands over the subgraphs one
 size class at a time, block by block: per subgraph the index of its
-parent in the block's previous class, its vertex row and |N(H)|, and per
-block its inner vertices, the only ones its subgraphs can take.  A class
-is built in slices from its parents' stacked int8 matrices: only the new
-vertex's row and column are new, 2h-1 gathers from a dense int8 sign
-table T[rank(u), rank(v)] = sign(u -> v) over the block's inner vertices,
-ranked in ascending id.  One table buffer serves every block: a block
-sets the entries of its arcs among its inner vertices, from out-arc lists
-built once per census, and they are cleared before the next block, so a
-block costs O(those arcs), as its neighbour masks do in ``subgraphs``.
+parent in the block's previous class, its vertex row, |N(H)| and whether
+it has children, and per block its inner vertices, the only ones its
+subgraphs can take.  A class is built in slices from its parents' stacked
+int8 matrices: only the new vertex's row and column are new, 2h-1 gathers
+from a dense int8 sign table T[rank(u), rank(v)] = sign(u -> v) over the
+block's inner vertices, ranked in ascending id.  One table buffer serves
+every block: a block sets the entries of its arcs among its inner
+vertices, from out-arc lists built once per census, and they are cleared
+before the next block, so a block costs O(those arcs), as its neighbour
+masks do in ``subgraphs``.
 The table takes |inner|^2 bytes for the largest block, never one byte per
 pair of the graph's vertices: at most 16 MB for a block of several roots,
 whose inner vertices lie in a universe of at most 64 * _WORD_BUDGET = 4096
@@ -92,11 +98,22 @@ neighbour masks (|inner| rows of at least |inner| / 64 words).
 A subgraph without a directed cycle has a nilpotent matrix, so all its
 traces are 0 and it skips the recursion.  One holding a cyclic parent
 holds its cycle; the others are stripped of sinks (on undirected networks
-only singletons and pairs: edges are 2-cycles).  A class keeps the traces
-its children extend, degrees h+1..L.  Its traces at degrees h..L are
-summed per (h, |N(H)|) as exact integers across slices and blocks, and the
-binomials, which vanish beyond degree h + |N(H)|, are applied once at the
-end, so neither block nor class order changes a count.
+only singletons and pairs: edges are 2-cycles).  A class keeps what its
+children read, its int8 matrices, cycle flags and traces at degrees
+h+1..top, only for the subgraphs that have children (``grows`` of
+``subgraphs.SizeClass``): on the 16-tribe network at L=16 that is half of
+the class at h = 8 and 6 % at h = 15.  They take compact slots, each
+slice's growing cyclic subgraphs first and its growing acyclic ones after,
+and a child finds its parent's slot through the class's ``slot`` map.  A
+slice is assembled in one buffer per class; its leaves, the subgraphs
+without children, are traced and summed but never stored.  The traces at
+degrees h..top are summed per (h, |N(H)|) as exact integers across slices
+and blocks, and the binomials, which vanish beyond degree h + |N(H)|, are
+applied once at the end, so neither block nor class order changes a count.
+A slice's k traces at degree l sum to at most k h r^l in magnitude, so
+the degrees where that stays below 2^62 are summed in at most int64, and
+only the rest in Python ints.  Its largest row sum r is summed in int8
+while h < 128: a row of h entries of magnitude at most 1 sums to at most h.
 
 ``_power_traces`` takes exact traces of the powers of any stack of integer
 matrices, with r the largest row sum of |A| over the stack: A^1..A^m, m =
@@ -391,6 +408,40 @@ def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
     return _widen(up, dtype) + _widen(d[h:], dtype)
 
 
+def _row_sum_bound(absolute: np.ndarray) -> int:
+    """The largest row sum r of a stack (k, h, h) of matrices |A| with
+    entries 0 and 1.  A row sums to at most h, so below h = 128 it is
+    summed in int8, about three times as fast as in int64."""
+    h = absolute.shape[-1]
+    # einsum sums short int8 rows about twice as fast as ndarray.sum
+    return int(np.einsum("kij->ki", absolute,
+                         dtype=np.int8 if h < 128 else np.int64)
+               .max(initial=0))
+
+
+def _run_sums(t: np.ndarray, runs: np.ndarray, h: int, r: int) -> np.ndarray:
+    """Python-int sums of the traces t (degrees h.., stacks, k) of k
+    subgraphs of size h over runs of columns, each from an index of
+    ``runs`` to the next.
+
+    Degree l sums values bounded by h r^l, r at least the largest row sum
+    (module docstring), so the degrees whose bound k h r^l is below 2^62
+    are summed in the cheapest exact dtype up to int64, and only the rest
+    in Python ints.
+    """
+    k = t.shape[-1]
+    cut = 0
+    while cut < len(t) and k * h * r**(h + cut) < _INT64_EXACT:
+        cut += 1
+    # the bound of the last of them holds for them all
+    exact = _exact_dtype(k * h * r**(h + cut - 1))
+    low = (t[:cut].astype(np.int64) if t.dtype == object
+           else _widen(t[:cut], _wider(t.dtype, exact)))
+    return np.concatenate([
+        _widen(np.add.reduceat(low, runs, axis=2), np.dtype(object)),
+        np.add.reduceat(_widen(t[cut:], np.dtype(object)), runs, axis=2)])
+
+
 def _short_cycles(g: SignedDigraph) -> list[tuple[int, int]]:
     """The signed and the unsigned weights of the cycles of lengths 1 and 2,
     loops and pairs of antiparallel arcs, read from ``g.arcs``."""
@@ -427,8 +478,10 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
               and np.array_equal(entry[2], heads))
     # the stacks traced: signed, then unsigned unless reused
     n_out = 2 - reused
-    # cycles of length >= 3 are counted on the bicomponents side by side
+    # cycles of length >= 3 are counted on the bicomponents side by side;
+    # none is longer than the largest, so no degree past it is traced
     parts = g.bicomponents
+    top = min(max_length, max(map(len, parts), default=0))
     packed = pack(g, parts if max_length >= 3 else ())
     # out-arcs of packed vertex u: heads and signs [out[u], out[u + 1])
     out = np.searchsorted(packed.tails, np.arange(packed.bounds[-1] + 1))
@@ -440,18 +493,19 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
     held = inner = tails[:0]
     blocks = 0
     # sums[h][l - h, w, |N(H)|]: exact sums of Tr A_H^l per stack w
-    sums = [np.zeros((max_length - h + 1, n_out, 0), dtype=object)
-            for h in range(max_length + 1)]
+    sums = [np.zeros((top - h + 1, n_out, 0), dtype=object)
+            for h in range(top + 1)]
     # per size: subgraphs, cyclic subgraphs, slices, widest trace dtype
-    tally = [[0, 0, 0, -1] for _ in range(max_length + 1)]
+    tally = [[0, 0, 0, -1] for _ in range(top + 1)]
     # no arc: L <= 2, or no bicomponent
-    classes = size_classes(packed, max_length) if len(packed.tails) else ()
-    for parent, verts, nb, block in classes:
+    classes = size_classes(packed, top) if len(packed.tails) else ()
+    for parent, verts, nb, block, grows in classes:
         k, h = verts.shape
         if h == 1:  # a new block; class 0 is the empty set
             mats = np.zeros((1, 0, 0), np.int8)
             cyclic = np.zeros(1, bool)
-            traces = np.zeros((max_length, n_out, 1), _LADDER[0])
+            traces = np.zeros((top, n_out, 1), _LADDER[0])
+            slot = np.zeros(1, np.int64)
             table[held] = 0
             rank[inner] = -1
             inner, m = block, len(block)
@@ -466,14 +520,20 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
             held = (np.repeat(np.arange(m) * m, hi - lo) + col)[keep]
             table[held] = packed.signs[arc[keep]]
             blocks += 1
-        # a class keeps the traces its children extend, degrees h+1..L
-        up_mats, mats = mats, np.zeros((k, h, h), np.int8)
-        up_traces, traces = traces, np.zeros((max_length - h, n_out, k),
+        # a class keeps what its children read, only for the subgraphs
+        # that grow: matrices, cycle flags and traces at degrees h+1..top,
+        # in slots filled slice by slice; slot[i] is growing subgraph i's
+        parent = slot[parent]
+        kept = int(np.count_nonzero(grows))
+        up_mats, mats = mats, np.empty((kept, h, h), np.int8)
+        up_cyclic, cyclic = cyclic, np.empty(kept, bool)
+        up_traces, traces = traces, np.zeros((top - h, n_out, kept),
                                              _LADDER[0])
-        cyclic = cyclic[parent]  # a parent's cycle lies in the subgraph
+        slot = np.empty(k, np.int64)
+        filled = 0
         # bounds the lookup temporaries and the walk chains of one slice
-        step = max(1, _CHUNK_BYTES
-                   // (8 * n_out * (h + 2) * (h + max_length)))
+        step = max(1, _CHUNK_BYTES // (8 * n_out * (h + 2) * (h + top)))
+        buf = np.empty((min(k, step), h, h), np.int8)
         grow = int(nb.max()) + 1 - sums[h].shape[2]
         if grow > 0:
             sums[h] = np.concatenate([sums[h], np.zeros(
@@ -482,40 +542,51 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
         stats[0] += k
         stats[2] += -(-k // step)
         for start in range(0, k, step):
-            p, rows, sub, cyc = (a[start:start + step] for a in
-                                 (parent, verts, mats, cyclic))
-            rows = rank[rows]
+            p = parent[start:start + step]
+            rows = rank[verts[start:start + step]]
+            sub = buf[:len(p)]
             v = rows[:, -1:]
             sub[:, :-1, :-1] = up_mats[p]
             # the new vertex's out-arcs, then its in-arcs from the others
             sub[:, -1] = table.take(v * m + rows)
             sub[:, :-1, -1] = table.take(rows[:, :-1] * m + v)
+            cyc = up_cyclic[p]  # a parent's cycle lies in the subgraph
             todo = np.flatnonzero(~cyc)
             if len(todo):
                 cyc[todo] = _has_cycle(sub[todo])
-            # acyclic: a nilpotent matrix, whose traces stay 0
+            # cyclic subgraphs, those that grow first, each part by
+            # |N(H)|; the growing ones keep the next slots, then the
+            # growing acyclic ones, whose traces stay 0 (a nilpotent matrix)
+            grows_here = grows[start:start + step]
             live = np.flatnonzero(cyc)
+            live = live[np.lexsort((nb[start + live], ~grows_here[live]))]
+            forks = int(np.count_nonzero(grows_here[live]))
+            kept_here = np.concatenate(
+                [live[:forks], np.flatnonzero(grows_here & ~cyc)])
+            at, filled = filled, filled + len(kept_here)
+            slot[start + kept_here] = np.arange(at, filled)
+            mats[at:filled] = sub[kept_here]
+            cyclic[at:at + forks] = True
+            cyclic[at + forks:filled] = False
             if not len(live):
                 continue
-            live = live[np.argsort(nb[start + live], kind="stable")]
             live_sub = sub[live]
             absolute = np.abs(live_sub)
-            # einsum sums short int8 rows about twice as fast as .sum
-            r = int(np.einsum("kij->ki", absolute, dtype=np.int64).max())
+            r = _row_sum_bound(absolute)
             t = _walk_traces(
                 np.concatenate([live_sub, absolute][:n_out]), r,
-                up_traces[:, :, p[live]].reshape(max_length - h + 1, -1),
-                max_length, g.symmetric
-            ).reshape(max_length - h + 1, n_out, -1)
+                up_traces[:, :, p[live]].reshape(top - h + 1, -1),
+                top, g.symmetric
+            ).reshape(top - h + 1, n_out, -1)
             traces = _widen(traces, _wider(traces.dtype, t.dtype))
-            traces[:, :, start + live] = _widen(t[1:], traces.dtype)
-            # runs of equal neighbour count share their binomials
+            traces[:, :, at:at + forks] = _widen(t[1:, :, :forks],
+                                                 traces.dtype)
+            # runs of equal neighbour count share their binomials; a count
+            # can head a run in both parts
             counts = nb[start + live]
             runs = np.flatnonzero(np.diff(counts, prepend=-1))
-            bound = len(live) * h * r**max_length
-            sums[h][:, :, counts[runs]] += _widen(np.add.reduceat(
-                _widen(t, _wider(t.dtype, _exact_dtype(bound))), runs,
-                axis=2), np.dtype(object))
+            np.add.at(sums[h], (slice(None), slice(None), counts[runs]),
+                      _run_sums(t, runs, h, r))
             stats[1] += len(live)
             stats[3] = max(stats[3], _LADDER.index(t.dtype))
     if _log.isEnabledFor(logging.DEBUG):
@@ -542,7 +613,7 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
     for h, by_count in enumerate(sums):
         for count in range(by_count.shape[2]):
             # C(|N(H)|, l - h) vanishes for degrees beyond h + |N(H)|
-            for j in range(max(0, 3 - h), min(count, max_length - h) + 1):
+            for j in range(max(0, 3 - h), min(count, top - h) + 1):
                 coeff = (-1) ** j * math.comb(count, j)
                 for w in range(n_out):
                     buckets[w][h + j] += coeff * by_count[j, w, count]

@@ -22,6 +22,10 @@ children of H are H + w for the set bits w of ``ext`` in ascending order:
     seen' = seen | nbr[w],    |N(H + w)| = popcount(seen') - (h + 1)
 
 with nbr[w] the neighbour mask of w.  Popcounts use ``np.bitwise_count``.
+The last field, ``grows``, says whether H has children: ``ext`` is not
+empty and |H| < max_size.  So i appears in the ``parent`` of the block's
+next class exactly when ``grows[i]``, and a consumer keeps what the
+children of a class read only for the subgraphs that grow.
 
 Packings and groups.  ``size_classes`` enumerates a ``SignedDigraph`` as
 it is, or a ``Packing``: vertex sets of a graph laid side by side as one
@@ -112,6 +116,7 @@ class SizeClass(NamedTuple):
     verts: np.ndarray   # (k, h) int32: vertex ids in the order added
     nb: np.ndarray      # (k,) int64: |N(H)|
     inner: np.ndarray   # (m,) int64: the block's inner vertices, ascending
+    grows: np.ndarray   # (k,) bool: whether H has children in class h + 1
 
 
 class Packing(NamedTuple):
@@ -305,7 +310,9 @@ def _grow(indptr, indices, local, roots, universe, inner, max_size: int
     ext = seen & _above(r, words)
     seen[np.arange(len(r)), r >> 6] |= _bit(r)
     parent = np.zeros(len(r), dtype=np.int64)
-    yield SizeClass(parent, verts if ids is None else ids[verts], nb, inner)
+    # a subgraph grows when it has a candidate and a class follows
+    yield SizeClass(parent, verts if ids is None else ids[verts], nb, inner,
+                    ext.any(axis=1) & (max_size > 1))
     for h in range(2, max_size + 1):
         parent, w = _set_bits(ext)
         if not len(parent):
@@ -321,11 +328,13 @@ def _grow(indptr, indices, local, roots, universe, inner, max_size: int
             ext = ext[parent]
             ext &= _above(w, words)
             ext |= up_seen
+            grows = ext.any(axis=1)
         else:  # nothing grows from the last class
             seen = ext = None
+            grows = np.zeros(len(parent), dtype=bool)
         del up_seen
         yield SizeClass(parent, verts if ids is None else ids[verts], nb,
-                        inner)
+                        inner, grows)
 
 
 def connected_induced_subgraphs(g: SignedDigraph, max_size: int

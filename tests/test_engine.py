@@ -1,6 +1,8 @@
 import logging
 import math
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebalance import engine, subgraphs
+from cyclebalance.datasets import load_gahuku_gama
 from cyclebalance.engine import (CycleCensus, CycleEngineError, _exact_dtype,
                                  _has_cycle, balance_row, balance_table,
                                  cycle_census, exact_low_order_ratios)
@@ -466,6 +469,52 @@ def test_negative_k16_reaches_object_traces(widened):
                        np.dtype(np.int64), np.dtype(object)}
 
 
+def test_row_sum_bound_past_int8():
+    # int8 sums serve up to h = 127; an all-ones 200 x 200 matrix has rows
+    # of 200, past int8, so they are summed in int64
+    assert engine._row_sum_bound(np.ones((1, 200, 200), np.int8)) == 200
+    assert engine._row_sum_bound(np.ones((3, 127, 127), np.int8)) == 127
+    rng = np.random.default_rng(5)
+    mats = rng.integers(0, 2, (40, 9, 9)).astype(np.int8)
+    assert engine._row_sum_bound(mats) == mats.sum(axis=2).max()
+
+
+def _python_run_sums(t, runs):
+    """Sums of t[j, w, a:b] in Python ints over the runs a..b of ``runs``."""
+    stops = [*runs[1:].tolist(), t.shape[2]]
+    return [[[sum(int(x) for x in t[j, w, a:b])
+              for a, b in zip(runs.tolist(), stops)]
+             for w in range(t.shape[1])] for j in range(len(t))]
+
+
+def test_run_sums_cross_int64_mid_degree():
+    # k h r^l passes 2^62 between two degrees of this slice: the degrees
+    # below are summed in int64, those above in Python ints, and both must
+    # equal Python-int sums of the same values, as large as the bound
+    # h r^l allows
+    rng = random.Random(11)
+    k, h, r, top = 300, 12, 11, 20
+    cut = min(ell for ell in range(h, top + 1) if k * h * r**ell >= 2**62)
+    assert h < cut < top
+    t = np.array([[[rng.choice((-1, 1)) * rng.randint(0, h * r**ell)
+                    for _ in range(k)] for _ in range(2)]
+                  for ell in range(h, top + 1)], dtype=object)
+    # the last int64 degree and the first Python-int one at their bounds:
+    # the latter's sum of 300 values passes 2^63
+    t[cut - h - 1, 0] = h * r**(cut - 1)
+    t[cut - h, 1] = h * r**cut
+    assert k * h * r**cut >= 2**63
+    runs = np.array([0, 1, 40, 41, 290])
+    out = engine._run_sums(t, runs, h, r)
+    assert out.dtype == object and out.tolist() == _python_run_sums(t, runs)
+    assert all(type(x) is int for x in out.ravel())
+    # float traces within float32 are summed to ints, not floats
+    small = np.arange(28, dtype=np.float32).reshape(2, 2, 7)
+    out = engine._run_sums(small, np.array([0, 3]), 2, 2)
+    assert out.tolist() == _python_run_sums(small, np.array([0, 3]))
+    assert all(type(x) is int for x in out.ravel())
+
+
 def _trace_powers(a, top):
     """Tr a^l for l = 1..top in Python ints."""
     a = np.asarray(a, dtype=object)
@@ -532,6 +581,80 @@ def test_engine_equals_oracle_at_l20_on_samples(size, longest, seed):
     census = cycle_census(sample, 20)
     assert census == brute_force_census(sample, 20)
     assert max(ell for ell in range(1, 21) if census.total(ell)) == longest
+
+
+def test_no_degree_past_the_largest_bicomponent(rng, monkeypatch):
+    # a cycle of length >= 3 lies in a bicomponent of at least that many
+    # vertices, so the census traces no degree past the largest one and
+    # pads the longer lengths with zeros
+    lengths = []
+    walk_traces = engine._walk_traces
+
+    def spy(mats, r, up, max_length, symmetric):
+        lengths.append(max_length)
+        return walk_traces(mats, r, up, max_length, symmetric)
+
+    monkeypatch.setattr(engine, "_walk_traces", spy)
+    graphs = [load_gahuku_gama()] + [
+        random_signed_digraph(rng, max_vertices=10, edge_prob=0.3,
+                              loop_prob=0.1, undirected=undirected)
+        for undirected in [False, True] * 8]
+    for g in graphs:
+        n = g.vertex_count
+        top = max(map(len, g.bicomponents), default=0)
+        lengths.clear()
+        base = cycle_census(g, n)
+        assert set(lengths) <= {top}
+        for extra in (1, 4):
+            lengths.clear()
+            longer = cycle_census(g, n + extra)
+            assert set(lengths) <= {top}
+            assert longer == CycleCensus(n + extra,
+                                         base.positive + (0,) * extra,
+                                         base.negative + (0,) * extra)
+        if n <= 10:
+            assert base == brute_force_census(g, n)
+
+
+# tracemalloc peak of a census of the 16-tribe network at L=16 with no
+# reusable unsigned series: its classes keep matrices and traces only for
+# the subgraphs with children (5.0 MB), where keeping them for every
+# subgraph peaked at 6.8 MB
+_TRIBE_CENSUS_PEAK_BYTES = 6 * 2**20
+
+
+def test_tribe_census_keeps_only_what_children_read():
+    g = load_gahuku_gama()
+    tracemalloc.start()
+    try:
+        census = cycle_census(g, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census.total(16) > 0
+    assert peak < _TRIBE_CENSUS_PEAK_BYTES, peak
+
+
+# positive and negative cycle counts at lengths 1..20 of the 22-vertex
+# graph below, N_20 = 94,998; it has one bicomponent of 21 vertices and
+# 1,051,058 connected subgraphs
+_L20_POSITIVE = (0, 53, 14, 76, 220, 586, 1772, 4660, 10992, 23972, 47994,
+                 87408, 141626, 205940, 267458, 300558, 289098, 226164,
+                 132092, 47532)
+_L20_NEGATIVE = (0, 0, 20, 62, 190, 664, 1756, 4556, 11072, 24060, 47960,
+                 86162, 140616, 206206, 266296, 301188, 288916, 224950,
+                 130844, 47466)
+
+
+@pytest.mark.skipif(not os.environ.get("CYCLEBALANCE_L20"),
+                    reason="22-vertex L=20 census is opt-in "
+                           "(set CYCLEBALANCE_L20=1); takes about 10 s and "
+                           "300 MB")
+def test_22_vertex_census_at_l20():
+    g = random_signed_digraph(random.Random(7), edge_prob=0.2,
+                              undirected=True, vertices=22)
+    assert cycle_census(g, 20) == CycleCensus(20, _L20_POSITIVE,
+                                              _L20_NEGATIVE)
 
 
 def test_debug_records_per_size(caplog, monkeypatch):

@@ -149,16 +149,35 @@ def test_each_visit_follows_its_parent(case):
     # engine tabulates once per block
     make_graph, max_size, _, _ = _GOLDEN_SETS[case]
     up = np.zeros((1, 0), dtype=np.int32)  # class 0: the empty set
-    for parent, verts, nb, inner in size_classes(make_graph(), max_size):
+    for parent, verts, nb, inner, grows in size_classes(make_graph(),
+                                                        max_size):
         if verts.shape[1] == 1:
             up = np.zeros((1, 0), dtype=np.int32)
             block = inner
         assert verts.shape[1] == up.shape[1] + 1
         assert (verts[:, :-1] == up[parent]).all()
-        assert len(parent) == len(verts) == len(nb)
+        assert len(parent) == len(verts) == len(nb) == len(grows)
         assert inner is block and (np.diff(inner) > 0).all()
         assert np.isin(verts[:, -1], inner).all()
         up = verts
+
+
+def test_grows_marks_the_parents_of_the_next_class(rng):
+    # the cycle engine keeps matrices and traces only for the subgraphs
+    # that grow, and looks the children's parents up among them
+    graphs = [(load_gahuku_gama(), 16), (load_gahuku_gama(), 6)]
+    for undirected in [False, True] * 10:
+        g = random_signed_digraph(rng, max_vertices=12, edge_prob=0.3,
+                                  loop_prob=0.1, undirected=undirected)
+        graphs.append((g, rng.randint(1, g.vertex_count + 1)))
+    for g, max_size in graphs:
+        classes = list(size_classes(g, max_size))
+        for cls, after in zip(classes, classes[1:] + [None]):
+            want = np.zeros(len(cls.verts), dtype=bool)
+            if after is not None and after.verts.shape[1] > 1:
+                want[after.parent] = True
+            assert cls.grows.dtype == bool
+            assert (cls.grows == want).all()
 
 
 def test_blocks_forced_by_the_smallest_word_budget(monkeypatch):
