@@ -321,7 +321,9 @@ def _widen(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 def _finish(buckets, max_length: int) -> list[list[int]]:
     """The coefficients 1..L of each series from its degree-l aggregates
-    ``b[l]``, l times the coefficients; checks their divisibility."""
+    ``b[l]``, l times the coefficients; checks their divisibility.  The
+    simple cycles, the low-order cycles of ``exact_low_order_ratios`` and
+    the primitive orbits pass here, then ``CycleCensus.from_weights``."""
     out = []
     for b in buckets:
         coeffs = []
@@ -329,8 +331,8 @@ def _finish(buckets, max_length: int) -> list[list[int]]:
             agg = b[ell]
             if agg % ell:
                 raise CycleEngineError(
-                    f"degree-{ell} aggregate {agg} not divisible by {ell}; "
-                    f"the subgraph accumulation is inconsistent"
+                    f"degree-{ell} aggregate {agg} not divisible by {ell}: "
+                    f"the counts are inconsistent"
                 )
             coeffs.append(agg // ell)
         out.append(coeffs)
@@ -338,8 +340,8 @@ def _finish(buckets, max_length: int) -> list[list[int]]:
 
 
 def _power_traces(mats: np.ndarray, lo: int, hi: int):
-    """Yield Tr A^l for l = lo..hi over a stack (..., h, h) of integer
-    matrices A.
+    """Yield Tr A^l for l = lo..hi over a stack (k, h, h) of matrices A
+    with entries 0 and +-1.
 
     The traces are exact: only A^1..A^ceil(hi/2) are multiplied out, longer
     traces come from the half-power identity, and each power and trace is
@@ -347,9 +349,7 @@ def _power_traces(mats: np.ndarray, lo: int, hi: int):
     row sum of |A| over the stack (module docstring).
     """
     h = mats.shape[-1]
-    # einsum sums short int8 rows about twice as fast as ndarray.sum
-    r = int(np.einsum("...ij->...i", np.abs(mats), dtype=np.int64)
-            .max(initial=0))
+    r = _row_sum_bound(np.abs(mats.astype(np.int8)))
     half = (hi + 1) // 2
     powers = [None, _widen(mats, _exact_dtype(h * r))]
     for k in range(2, half + 1):
@@ -442,15 +442,17 @@ def _run_sums(t: np.ndarray, runs: np.ndarray, h: int, r: int) -> np.ndarray:
         np.add.reduceat(_widen(t[cut:], np.dtype(object)), runs, axis=2)])
 
 
-def _short_cycles(g: SignedDigraph) -> list[tuple[int, int]]:
-    """The signed and the unsigned weights of the cycles of lengths 1 and 2,
-    loops and pairs of antiparallel arcs, read from ``g.arcs``."""
+def _short_cycles(g: SignedDigraph) -> list[list[int]]:
+    """The signed and the unsigned degree-l aggregates, l = 0..2, of the
+    cycles of lengths 1 and 2, loops and pairs of antiparallel arcs, read
+    from ``g.arcs``: 0, the loops' weights, twice the pairs'."""
     tails, heads, signs = g.arcs
     rev = g._reverse_arcs()
     loops = signs[tails == heads]
     pair = (rev >= 0) & (tails < heads)
     pairs = signs[pair] * signs[rev[pair]]
-    return [(int(loops.sum()), int(pairs.sum())), (len(loops), len(pairs))]
+    return [[0, int(loops.sum()), 2 * int(pairs.sum())],
+            [0, len(loops), 2 * len(pairs)]]
 
 
 def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
@@ -607,9 +609,8 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
                    "reused" if reused else "computed")
     # degree-l aggregates, l times the coefficients: lengths 1 and 2 from
     # the arcs, longer ones from the bicomponents
-    short = _short_cycles(g)
-    buckets = [([0, loops, 2 * pairs] + [0] * max_length)[:max_length + 1]
-               for loops, pairs in short[:n_out]]
+    buckets = [(short + [0] * max_length)[:max_length + 1]
+               for short in _short_cycles(g)[:n_out]]
     for h, by_count in enumerate(sums):
         for count in range(by_count.shape[2]):
             # C(|N(H)|, l - h) vanishes for degrees beyond h + |N(H)|
@@ -673,7 +674,8 @@ def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
     Agrees with cycle_census for l <= 3 on any graph, in O(m d) time for m
     arcs of out-degree at most d.  Every partial sum of the sparse int64
     products is bounded by Tr |S|^3 <= m d (S without the diagonal), so
-    they are exact below 2^62; a larger graph raises OverflowError.
+    they are exact below 2^62; a larger graph raises OverflowError.  The
+    aggregates 0, loops, twice the pairs and Tr S^3 pass ``_finish``.
     """
     from scipy import sparse
 
@@ -685,12 +687,11 @@ def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
         raise OverflowError(f"{len(tails)} arcs of out-degree up to {d}: "
                             f"Tr S^3 could exceed 2^62")
 
-    def triangles(signs):
-        # a directed triangle adds thrice to Tr S^3
+    def trace3(signs):
         s = sparse.csr_array((signs, (tails, heads)),
                              shape=(g.vertex_count,) * 2)
-        return int((s @ s).multiply(s.T).sum()) // 3
+        return int((s @ s).multiply(s.T).sum())
 
-    (s1, s2), (u1, u2) = _short_cycles(g)
-    return balance_table(CycleCensus.from_weights(
-        [s1, s2, triangles(signs)], [u1, u2, triangles(np.abs(signs))]))
+    buckets = [short + [trace3(w)]
+               for short, w in zip(_short_cycles(g), (signs, np.abs(signs)))]
+    return balance_table(CycleCensus.from_weights(*_finish(buckets, 3)))

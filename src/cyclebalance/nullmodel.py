@@ -106,6 +106,8 @@ def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
     worker on the pool, whose workers keep their entry across tasks and
     calls.
     """
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
     if shuffles < 1:
         raise ValueError("need at least one shuffle")
     if seed < 0:

@@ -8,9 +8,18 @@ product of entries around a closed non-backtracking walk equals the walk's
 sign, so signed traces of T^l separate positive from negative orbits.
 
 Primitive orbits (closed non-backtracking, tailless walks that are not
-powers of shorter ones) are counted from the traces by Mobius inversion
-over divisors; they coincide with simple cycles for lengths 3..5 on
-loopless graphs.  For undirected graphs the Stark-Terras three-term
+powers of shorter ones) coincide with simple cycles for lengths 3..5 on
+loopless graphs.  An orbit of length j and sign s gives j closed walks of
+each length kj, of sign s^k.  With U_l = Tr |T|^l and S_l = Tr T^l,
+Mobius inversion (Terras, Zeta Functions of Graphs, 2011) gives
+
+    l (N^+_l + N^-_l) = sum_{d | l} mu(d) U_{l/d},
+    l N^-_l = sum_{d | l, d odd} mu(d) (U_{l/d} - S_{l/d}) / 2.
+
+The second sum runs over odd d: (U_l - S_l) / 2 sums j N^-_j over the
+j | l with l/j odd, a Dirichlet convolution with the indicator of odd
+numbers, which is completely multiplicative, so its inverse is mu on odd
+d and 0 on even d.  For undirected graphs the Stark-Terras three-term
 recursion computes the same traces from vertex-level matrices.
 
 Traces of T^l, and of A^l for closed walks, are exact integers from the
@@ -26,7 +35,8 @@ import math
 
 import numpy as np
 
-from .engine import BalanceRow, CycleCensus, _power_traces, balance_table
+from .engine import (BalanceRow, CycleCensus, _finish, _power_traces,
+                     balance_table)
 from .graph import GraphError, SignedDigraph
 from .subgraphs import _ranges
 
@@ -85,25 +95,16 @@ def mobius(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def primitive_orbit_counts(g: SignedDigraph, max_length: int) -> CycleCensus:
     """Counts of positive/negative primitive orbits for lengths 1..max_length.
 
     Lengths 1 and 2 are always 0: a loopless graph has no closed non-
-    backtracking walk shorter than 3.  Totals N^+ + N^- come from the
-    Mobius-inverted divisor sum of Tr |T|^d.  The signed difference needs
-    care: a power orbit c^k carries sign(c)^k, so negative orbits alternate
-    and plain inversion over divisors is wrong for even lengths.  Instead
-    the differences are extracted recursively from
-
-        Tr T^l = sum_{j | l} j * (N^+_j + (-1)^(l/j) N^-_j),
-
-    peeling off the known shorter-orbit contributions, which are totals
-    N^+_j + N^-_j for even l/j and differences N^+_j - N^-_j for odd l/j.
-    All divisions must be exact; a remainder signals a construction bug.
+    backtracking walk shorter than 3.  Each length's aggregates are single
+    Mobius sums over the traces (module docstring): l (N^+_l + N^-_l) sums
+    mu(d) U_{l/d} over d | l, and l N^-_l sums mu(d) (U_{l/d} - S_{l/d}) / 2
+    over odd d | l only, as an even power of a negative orbit is positive.
+    So l (N^+_l - N^-_l) sums mu(d) S_{l/d} at odd d and mu(d) U_{l/d} at
+    even d.  Both pass the census's checks in ``engine._finish``.
     """
     if max_length < 3:
         raise ValueError("primitive orbits start at length 3")
@@ -113,26 +114,17 @@ def primitive_orbit_counts(g: SignedDigraph, max_length: int) -> CycleCensus:
             f"{DENSE_CAP}; orbit counting at this scale is not supported"
         )
     mat = hashimoto_matrix(g)
-    tr_s, tr_u = zip(*(map(int, tr) for tr in _power_traces(
-        np.stack([mat, np.abs(mat)]), 1, max_length)))
-    tot = {1: 0, 2: 0}
-    diff = {1: 0, 2: 0}
-    for ell in range(3, max_length + 1):
-        t = sum(mobius(ell // d) * tr_u[d - 1] for d in _divisors(ell))
-        if t % ell:
-            raise GraphError(
-                f"orbit divisor sum not divisible by {ell}: the Hashimoto "
-                f"construction is inconsistent"
-            )
-        tot[ell] = t // ell
-        shorter = sum(j * (diff[j] if (ell // j) % 2 else tot[j])
-                      for j in _divisors(ell) if j < ell)
-        diff[ell], rem = divmod(tr_s[ell - 1] - shorter, ell)
-        if rem:
-            raise GraphError(f"signed orbit extraction failed at length {ell}")
-    lengths = range(1, max_length + 1)
-    return CycleCensus.from_weights([diff[ell] for ell in lengths],
-                                    [tot[ell] for ell in lengths])
+    # traces[l] = (S_l, U_l)
+    traces = [(0, 0)] + [tuple(map(int, tr)) for tr in _power_traces(
+        np.stack([mat, np.abs(mat)]), 1, max_length)]
+    signed, unsigned = [0] * (max_length + 1), [0] * (max_length + 1)
+    for d in range(1, max_length + 1):
+        mu = mobius(d)
+        for m in range(1, max_length // d + 1):
+            s, u = traces[m]
+            signed[d * m] += mu * (s if d % 2 else u)
+            unsigned[d * m] += mu * u
+    return CycleCensus.from_weights(*_finish([signed, unsigned], max_length))
 
 
 def stark_terras_orbit_walks(g: SignedDigraph, max_length: int

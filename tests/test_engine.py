@@ -20,7 +20,8 @@ from cyclebalance.montecarlo import sample_connected_vertex_set
 from cyclebalance.oracle import brute_force_census, complete_graph_census
 from cyclebalance.subgraphs import connected_induced_subgraphs
 from _series import TruncatedSeries
-from _util import clustered_graph, random_signed_digraph
+from _util import (clustered_graph, random_signed_digraph,
+                   with_opposite_reverses)
 
 TRIAD = parse_edge_list("0 1 1\n0 2 1\n1 2 -1", undirected=True)
 
@@ -396,15 +397,15 @@ def test_balance_table_symmetric_counts():
 
 
 def test_low_order_matches_census(rng):
-    for _ in range(25):
+    # directed and undirected graphs with loops, and directed ones with
+    # antiparallel arcs of opposite sign
+    for i in range(48):
         g = random_signed_digraph(rng, max_vertices=8, edge_prob=0.35,
-                                  loop_prob=0.15)
-        table = exact_low_order_ratios(g)
-        census = balance_table(cycle_census(g, 3))
-        for ell in (1, 2, 3):
-            a, b = table.row(ell), census.row(ell)
-            assert (a.n_pos, a.n_neg) == (b.n_pos, b.n_neg)
-            assert a.ratio_negative == b.ratio_negative
+                                  loop_prob=0.15, undirected=i % 3 == 0)
+        if i % 3 == 1:
+            g = with_opposite_reverses(g, rng)
+        assert exact_low_order_ratios(g).rows == \
+            balance_table(cycle_census(g, 3)).rows
 
 
 def _local_sparse_digraph(n, seed):

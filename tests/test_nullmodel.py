@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cyclebalance
-from cyclebalance import engine
+from cyclebalance import engine, parallel
 from cyclebalance.engine import BalanceRow, BalanceTable, cycle_census
 from cyclebalance.graph import SignedDigraph, parse_edge_list
 from cyclebalance.nullmodel import (CorrelationFit, _shuffled_graph,
@@ -153,6 +153,20 @@ def test_shuffle_null_identical_for_any_worker_count():
     assert one == two == three
     with pytest.raises(ValueError, match="workers must be >= 1"):
         shuffle_null(g, 4, 5, workers=0)
+
+
+def test_shuffle_null_rejects_short_max_length_before_the_pool(monkeypatch):
+    acquired = []
+
+    def acquire_spy(size):
+        acquired.append(size)
+        raise AssertionError("a pool was acquired")
+
+    monkeypatch.setattr(parallel, "_acquire", acquire_spy)
+    g = parse_edge_list("0 1 1\n1 2 -1\n2 0 1", undirected=True)
+    with pytest.raises(ValueError, match="max_length must be >= 1"):
+        shuffle_null(g, 0, 4, workers=2)
+    assert acquired == []
 
 
 def _topology_changes(g, max_length):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cyclebalance import orbits
-from cyclebalance.engine import balance_table, cycle_census
+from cyclebalance.engine import (CycleEngineError, balance_table,
+                                 cycle_census)
 from cyclebalance.graph import (GraphError, SignedDigraph, complete_graph,
                                 parse_edge_list)
 from cyclebalance.orbits import (hashimoto_matrix, mobius,
@@ -123,6 +124,42 @@ def test_orbit_trace_round_trip(rng):
                         if l % k == 0 and l // k >= 3)
             assert Fraction(int(power.trace()), l) == recon, l
             power = power @ tu
+
+
+def _fake_power_traces(counts, off=None):
+    """A stand-in for the engine's trace routine that yields (S_l, U_l),
+    S_l = sum_{j | l} j (N^+_j + (-1)^(l/j) N^-_j) and U_l = sum_{j | l}
+    j (N^+_j + N^-_j), from counts[j] = (N^+_j, N^-_j); ``off`` = (l, w)
+    adds 1 to S_l (w = 0) or U_l (w = 1)."""
+    def power_traces(mats, lo, hi):
+        for ell in range(lo, hi + 1):
+            tr = np.zeros(2, dtype=object)
+            for j in range(1, ell + 1):
+                if ell % j == 0:
+                    pos, neg = counts[j]
+                    tr += [j * (pos + (-1) ** (ell // j) * neg),
+                           j * (pos + neg)]
+            if off is not None and off[0] == ell:
+                tr[off[1]] += 1
+            yield tr
+    return power_traces
+
+
+def test_orbit_counts_invert_traces_at_l20(rng, monkeypatch):
+    # lengths 1 and 2 hold no orbit
+    counts = {j: (0, 0) if j < 3 else
+              (rng.randrange(3**j), rng.randrange(3**j)) for j in range(1, 21)}
+    monkeypatch.setattr(orbits, "_power_traces", _fake_power_traces(counts))
+    oc = primitive_orbit_counts(TRIANGLE, 20)
+    assert [(oc.n_pos(j), oc.n_neg(j)) for j in range(1, 21)] == \
+        [counts[j] for j in range(1, 21)]
+    # one trace off by 1 breaks divisibility at its length, or parity
+    for ell in range(1, 21):
+        for w in (0, 1):
+            monkeypatch.setattr(orbits, "_power_traces",
+                                _fake_power_traces(counts, (ell, w)))
+            with pytest.raises(CycleEngineError):
+                primitive_orbit_counts(TRIANGLE, 20)
 
 
 def test_walk_ratios_negative_k20_all_dtypes(widened):
