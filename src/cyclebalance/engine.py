@@ -447,7 +447,7 @@ def _short_cycles(g: SignedDigraph) -> list[list[int]]:
     cycles of lengths 1 and 2, loops and pairs of antiparallel arcs, read
     from ``g.arcs``: 0, the loops' weights, twice the pairs'."""
     tails, heads, signs = g.arcs
-    rev = g._reverse_arcs()
+    rev = g._reverse_arcs
     loops = signs[tails == heads]
     pair = (rev >= 0) & (tails < heads)
     pairs = signs[pair] * signs[rev[pair]]

@@ -4,31 +4,26 @@ Edges carry a weight of +1 (amity) or -1 (enmity).  An undirected network is
 stored as its symmetrized directed form: every undirected edge contributes
 both orientations with equal sign.
 
-Three views are derived once per graph: ``arcs``, read-only arrays of
-tails, heads and signs sorted by (tail, head), which every array consumer
-reads; ``symmetric``, whether each arc has a reverse arc of equal sign; and
-``bicomponents``, the vertex sets of the biconnected components of at least
-3 vertices, which hold every simple cycle of length >= 3.  The engine counts
-cycles on any digraph; ``symmetric`` only selects its y = x walk chains,
-and a graph flagged ``from_undirected`` must have it.
+A graph is its read-only arrays ``arcs``: int64 tails and heads and int8
+signs, sorted by (tail, head).  Views derived once: ``out_offsets``, where
+each vertex's out-arcs start; ``csr``, the loopless undirected adjacency
+(also ``subgraphs.pack``'s), whose indices[indptr[v]:indptr[v + 1]] are the
+neighbours of v, ascending; ``symmetric`` (A = A^T); ``bicomponents``.
+``with_signs`` shares the views of the topology.  ``edges``, a (tail, head)
+-> sign mapping built when first read, is for tests and the benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from array import array
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = [
-    "GraphError",
-    "ParseError",
-    "SignedDigraph",
-    "disjoint_union",
-    "load_edge_list",
-    "parse_edge_list",
-]
+__all__ = ["GraphError", "ParseError", "SignedDigraph", "disjoint_union",
+           "load_edge_list", "parse_edge_list"]
 
 
 class GraphError(ValueError):
@@ -45,199 +40,203 @@ class ParseError(GraphError):
         self.line_number = line_number
 
 
-_SIGN_TOKENS = {
-    "1": 1, "+1": 1, "+": 1,
-    "-1": -1, "-": -1, "−1": -1, "−": -1,
-}
+_SIGN_TOKENS = {"1": 1, "+1": 1, "+": 1, "-1": -1, "-": -1, "−1": -1, "−": -1}
 
 
-@dataclass(frozen=True)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class SignedDigraph:
     """Immutable signed directed graph with dense integer vertex ids.
 
-    ``edges`` maps (source, target) -> sign.  ``from_undirected`` records
-    that the graph was built by symmetrizing an undirected edge list, in
-    which case (u, v) is present iff (v, u) is, with the same sign.
+    ``edges`` maps (source, target) -> sign, or is the arrays (tails, heads,
+    signs) of distinct arcs in any order, checked alike.  A graph symmetrized
+    from an undirected edge list, ``from_undirected``, must be ``symmetric``.
     """
 
-    vertex_count: int
-    edges: Mapping[tuple[int, int], int]
-    from_undirected: bool = False
-    vertex_labels: tuple[str, ...] | None = None
-    _out: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _und: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.vertex_count
-        if n < 0:
+    def __init__(self, vertex_count: int, edges, from_undirected: bool = False,
+                 vertex_labels: tuple[str, ...] | None = None):
+        if vertex_count < 0:
             raise GraphError("vertex_count must be nonnegative")
-        out: dict[int, list[int]] = {v: [] for v in range(n)}
-        und: dict[int, set[int]] = {v: set() for v in range(n)}
-        for (u, v), s in self.edges.items():
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) references unknown vertex")
-            if s not in (1, -1):
-                raise GraphError(f"edge ({u}, {v}) has sign {s}, expected +1 or -1")
-            out[u].append(v)
-            if u != v:
-                und[u].add(v)
-                und[v].add(u)
-        if self.from_undirected and not self.symmetric:
-            u, v = (a[self._unmatched_arcs()[0]] for a in self.arcs[:2])
-            raise GraphError(
-                f"graph flagged undirected but ({u}, {v}) lacks a "
-                f"matching reverse edge of equal sign"
-            )
-        object.__setattr__(self, "_out", {v: sorted(a) for v, a in out.items()})
-        object.__setattr__(self, "_und", {v: sorted(s) for v, s in und.items()})
+        if isinstance(edges, Mapping):
+            edges = (*np.reshape(list(edges), (-1, 2)).T, list(edges.values()))
+        n, signs = vertex_count, np.asarray(edges[2])
+        tails, heads = (np.asarray(a, np.int64) for a in edges[:2])
+        outside = (np.minimum(tails, heads) < 0) | (np.maximum(tails, heads) >= n)
+        for i in np.flatnonzero(outside | (signs != 1) & (signs != -1))[:1]:
+            raise GraphError(f"edge ({tails[i]}, {heads[i]}) " + (
+                "references unknown vertex" if outside[i]
+                else f"has sign {signs[i]}, expected +1 or -1"))
+        if (np.diff(tails * n + heads) <= 0).any():  # not yet sorted
+            order = np.argsort(tails * n + heads, kind="stable")
+            tails, heads, signs = tails[order], heads[order], signs[order]
+        if (np.diff(tails * n + heads) == 0).any():
+            raise GraphError("an arc is given twice")
+        arcs = tuple(_frozen(np.asarray(a, t).view()) for a, t in
+                     zip((tails, heads, signs), (np.int64, np.int64, np.int8)))
+        vars(self).update(vertex_count=n, arcs=arcs, vertex_labels=vertex_labels,
+                          from_undirected=from_undirected)
+        if from_undirected and not self.symmetric:
+            rev = self._reverse_arcs
+            i = np.flatnonzero((rev < 0) | (signs[rev] != signs))[0]
+            raise GraphError(f"graph flagged undirected but ({tails[i]}, "
+                             f"{heads[i]}) lacks a matching reverse edge of "
+                             f"equal sign")
 
-    # -- basic queries ----------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SignedDigraph is immutable; cannot set {name}")
+
+    def __getstate__(self):  # a mappingproxy, the edges view, does not pickle
+        return {k: v for k, v in vars(self).items() if k != "edges"}
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.arcs[0])
 
     def sign(self, u: int, v: int) -> int:
         """Sign of directed edge (u, v), or 0 if absent."""
-        return self.edges.get((u, v), 0)
+        lo, hi = np.searchsorted(self.arcs[0], (u, u + 1))
+        i = lo + np.searchsorted(self.arcs[1][lo:hi], v)
+        return int(self.arcs[2][i]) if i < hi and self.arcs[1][i] == v else 0
 
     def out_neighbours(self, v: int) -> list[int]:
-        return self._out[v]
+        return self.arcs[1][self.out_offsets[v]:self.out_offsets[v + 1]].tolist()
 
     def undirected_neighbours(self, v: int) -> list[int]:
-        """Vertices joined to v by an edge in either direction (loops excluded)."""
-        return self._und[v]
+        """Vertices joined to v by an edge either way, but v, ascending."""
+        return self.csr[1][self.csr[0][v]:self.csr[0][v + 1]].tolist()
 
     def has_self_loops(self) -> bool:
-        return any(u == v for u, v in self.edges)
+        return bool((self.arcs[0] == self.arcs[1]).any())
 
     def negative_edge_fraction(self) -> float:
         """Fraction p of negative directed edges. Errors on an empty edge set."""
-        if not self.edges:
+        if not self.edge_count:
             raise GraphError("graph has no edges; negative fraction undefined")
-        neg = sum(1 for s in self.edges.values() if s < 0)
-        return neg / len(self.edges)
-
-    # -- array and matrix views --------------------------------------------
+        return int((self.arcs[2] < 0).sum()) / self.edge_count
 
     @cached_property
-    def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tails, heads, signs) of the arcs sorted by (tail, head), as
-        read-only int64, int64 and int8 arrays."""
-        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
-        order = np.lexsort(pairs[::-1])
-        signs = np.array(list(self.edges.values()), dtype=np.int8)
-        views = (*np.ascontiguousarray(pairs[:, order]), signs[order])
-        for a in views:
-            a.flags.writeable = False
-        return views
+    def edges(self) -> Mapping[tuple[int, int], int]:
+        """Read-only (tail, head) -> sign mapping in ``arcs`` order."""
+        tails, heads, signs = (a.tolist() for a in self.arcs)
+        return MappingProxyType(dict(zip(zip(tails, heads), signs)))
+
+    @cached_property
+    def out_offsets(self) -> np.ndarray:
+        """Arcs out_offsets[v]..out_offsets[v + 1] - 1 leave v."""
+        n = self.vertex_count
+        return _frozen(np.searchsorted(self.arcs[0], np.arange(n + 1)))
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the loopless undirected adjacency."""
+        if self.has_self_loops():
+            return self.without_self_loops().csr
+        n, (tails, heads, _) = self.vertex_count, self.arcs
+        # both ways, each once; np.unique would import numpy.ma on first call
+        both = np.sort(np.concatenate([tails * n + heads, heads * n + tails]))
+        both = both[np.diff(both, prepend=-1) != 0]
+        return (_frozen(np.searchsorted(both, np.arange(n + 1) * n)),
+                _frozen(both % max(n, 1)))
 
     @cached_property
     def symmetric(self) -> bool:
         """Whether every arc has a reverse arc of equal sign (A = A^T)."""
-        return not len(self._unmatched_arcs())
+        signs, rev = self.arcs[2], self._reverse_arcs
+        return bool(((rev >= 0) & (signs[rev] == signs)).all())
 
     @cached_property
     def bicomponents(self) -> tuple[np.ndarray, ...]:
         """Vertex sets of the biconnected components of at least 3 vertices
-        of the underlying loopless undirected graph, as read-only sorted
-        int64 arrays ordered by their least vertex.
-
-        Every simple cycle of length >= 3, directed or not, lies in exactly
-        one of them.  Found by an iterative Hopcroft-Tarjan walk: a vertex
-        u closes a component with its child v in the depth-first tree when
-        no vertex of v's subtree has an edge to a vertex found before u,
-        low[v] >= disc[u].
-        """
-        und = self._und
+        of the loopless undirected graph, which hold every simple cycle of
+        length >= 3, as read-only sorted int64 arrays by least vertex.  Found
+        by an iterative Hopcroft-Tarjan walk: u closes a component with its
+        child v in the depth-first tree when no vertex of v's subtree has an
+        edge to a vertex found before u, low[v] >= disc[u]."""
+        ptr, nbrs = (a.tolist() for a in self.csr)
         disc, low = [0] * self.vertex_count, [0] * self.vertex_count
-        stack: list[int] = []  # visited vertices of open components
-        found = []
-        clock = 0
+        # visited vertices of open components, components, vertices found
+        stack, found, clock = [], [], 0
         for root in range(self.vertex_count):
-            if disc[root] or not und[root]:
+            if disc[root] or ptr[root] == ptr[root + 1]:
                 continue
             clock += 1
             disc[root] = low[root] = clock
             # (vertex, its unscanned neighbours, its position in ``stack``)
-            walk = [(root, iter(und[root]), 0)]
+            walk = [(root, iter(nbrs[ptr[root]:ptr[root + 1]]), 0)]
             while walk:
                 v, todo, at = walk[-1]
+                lv = low[v]
                 for w in todo:
-                    if not disc[w]:
+                    d = disc[w]
+                    if not d:
+                        low[v] = lv
                         clock += 1
                         disc[w] = low[w] = clock
-                        walk.append((w, iter(und[w]), len(stack)))
+                        walk.append((w, iter(nbrs[ptr[w]:ptr[w + 1]]),
+                                     len(stack)))
                         stack.append(w)
                         break
-                    low[v] = min(low[v], disc[w])
+                    if d < lv:
+                        lv = d
                 else:
                     walk.pop()
-                    if not walk:
-                        continue
-                    u = walk[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        # v and the vertices pushed after it, with u
-                        if len(stack) - at >= 2:
-                            found.append(sorted(stack[at:] + [u]))
-                        del stack[at:]
-        views = tuple(np.array(c, dtype=np.int64) for c in sorted(found))
-        for a in views:
-            a.flags.writeable = False
-        return views
+                    if walk:
+                        u = walk[-1][0]
+                        low[u] = min(low[u], lv)
+                        if lv >= disc[u]:
+                            # v and the vertices pushed after it, with u
+                            if len(stack) - at >= 2:
+                                found.append(sorted(stack[at:] + [u]))
+                            del stack[at:]
+        return tuple(_frozen(np.array(c, np.int64)) for c in sorted(found))
 
+    @cached_property
     def _reverse_arcs(self) -> np.ndarray:
-        """Position in ``arcs`` of each arc's reverse arc, -1 where there is
-        none, found by binary search among the ascending keys tail n + head."""
-        tails, heads, _ = self.arcs
-        n = self.vertex_count
+        """Position in ``arcs`` of each arc's reverse arc, or -1: a binary
+        search among the ascending keys tail n + head."""
+        n, (tails, heads, _) = self.vertex_count, self.arcs
         keys, back = tails * n + heads, heads * n + tails
         pos = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
-        return np.where(keys[pos] == back, pos, -1)
-
-    def _unmatched_arcs(self) -> np.ndarray:
-        """Positions in ``arcs`` of the arcs without a reverse arc of equal
-        sign."""
-        signs = self.arcs[2]
-        rev = self._reverse_arcs()
-        return np.flatnonzero((rev < 0) | (signs[rev] != signs))
+        return _frozen(np.where(keys[pos] == back, pos, -1))
 
     def adjacency(self, dtype=np.int64) -> np.ndarray:
         """Dense signed adjacency matrix A."""
-        tails, heads, signs = self.arcs
-        a = np.zeros((self.vertex_count, self.vertex_count), dtype=dtype)
-        a[tails, heads] = signs
+        a = np.zeros((self.vertex_count,) * 2, dtype=dtype)
+        a[self.arcs[:2]] = self.arcs[2]
         return a
 
-    # -- derived graphs ----------------------------------------------------
+    def with_signs(self, signs: np.ndarray) -> "SignedDigraph":
+        """Sign signs[i] on arc i of ``arcs``; the topology's views shared."""
+        g = SignedDigraph.__new__(SignedDigraph)
+        vars(g).update((k, v) for k, v in vars(self).items() if k in
+                       ("out_offsets", "csr", "_reverse_arcs", "bicomponents"))
+        g.__init__(self.vertex_count, (*self.arcs[:2], signs),
+                   self.from_undirected, self.vertex_labels)
+        return g
 
     def without_self_loops(self) -> "SignedDigraph":
         """Graph on the same vertices with diagonal edges removed."""
-        return replace(self, edges={(u, v): s for (u, v), s
-                                    in self.edges.items() if u != v})
+        keep = self.arcs[0] != self.arcs[1]
+        return SignedDigraph(self.vertex_count, [a[keep] for a in self.arcs],
+                             self.from_undirected, self.vertex_labels)
 
     def induced_subgraph(self, vertices: Sequence[int]
                          ) -> tuple["SignedDigraph", list[int]]:
         """Induced subgraph on ``vertices`` plus the local->global id map."""
-        order = list(dict.fromkeys(vertices))
-        for v in order:
-            if not (0 <= v < self.vertex_count):
-                raise GraphError(f"vertex {v} not in graph")
-        local = {g: i for i, g in enumerate(order)}
-        sub = {(local[g], local[h]): self.edges[(g, h)]
-               for g in order for h in self._out[g] if h in local}
-        return (SignedDigraph(len(order), sub,
-                              from_undirected=self.from_undirected),
-                order)
-
-    def neighbourhood(self, vertices: Iterable[int]) -> list[int]:
-        """Vertices outside the set touching it by an edge in either direction."""
-        inside = set(vertices)
-        for v in inside:
-            if not (0 <= v < self.vertex_count):
-                raise GraphError(f"vertex {v} not in graph")
-        return sorted(set().union(*(self._und[v] for v in inside)) - inside)
+        order = np.array(list(dict.fromkeys(vertices)), dtype=np.int64)
+        for v in order[(order < 0) | (order >= self.vertex_count)][:1]:
+            raise GraphError(f"vertex {v} not in graph")
+        local = np.full(self.vertex_count, -1)
+        local[order] = np.arange(len(order))
+        arc = np.concatenate([np.arange(*self.out_offsets[v:v + 2])
+                              for v in order.tolist()] + [order[:0]])
+        arc = arc[local[self.arcs[1][arc]] >= 0]
+        sub = [local[a[arc]] for a in self.arcs[:2]] + [self.arcs[2][arc]]
+        return (SignedDigraph(len(order), sub, self.from_undirected),
+                order.tolist())
 
 
 def parse_edge_list(text: str, *, undirected: bool = False,
@@ -247,43 +246,46 @@ def parse_edge_list(text: str, *, undirected: bool = False,
     Lines starting with '#' and blank lines are skipped.  Vertex ids may be
     arbitrary integer or string tokens; they are remapped to dense ids in
     first-appearance order and the original tokens kept as labels.
-
-    duplicate_policy: 'reject' errors on sign conflicts, 'last' keeps the
-    latest occurrence.  Identical duplicates always collapse silently.
+    duplicate_policy: 'reject' errors on the first line whose sign differs
+    from the previous line of its pair (either way when undirected), 'last'
+    keeps the latest occurrence.  Identical duplicates always collapse.
     """
     if duplicate_policy not in ("reject", "last"):
         raise GraphError(f"unknown duplicate policy {duplicate_policy!r}")
     ids: dict[str, int] = {}
-    raw: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> (sign, line no)
+    rows = array("q")  # tail, head, sign and line number of each edge line
+    error = None  # a malformed line; a conflict above it is raised first
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'src dst sign', got {stripped!r}", lineno)
-        su, sv, stok = parts
-        sign = _SIGN_TOKENS.get(stok)
+        sign = _SIGN_TOKENS.get(parts[2]) if len(parts) == 3 else None
         if sign is None:
-            raise ParseError(f"sign token {stok!r} not in +1/-1", lineno)
-        u = ids.setdefault(su, len(ids))
-        v = ids.setdefault(sv, len(ids))
-        prev = raw.get((u, v))
-        if prev is not None and prev[0] != sign:
-            if duplicate_policy == "reject":
-                raise ParseError(
-                    f"edge {su}->{sv} conflicts with sign given on line {prev[1]}",
-                    lineno,
-                )
-        # when undirected, (u, v) and (v, u) always hold one sign, so the
-        # check above covers the reverse pair too
-        raw[(u, v)] = (sign, lineno)
-        if undirected:
-            raw[(v, u)] = (sign, lineno)
-    labels = tuple(sorted(ids, key=ids.get))
-    edges = {pair: sign for pair, (sign, _) in raw.items()}
-    return SignedDigraph(len(ids), edges, from_undirected=undirected,
-                         vertex_labels=labels or None)
+            error = ParseError(
+                f"sign token {parts[2]!r} not in +1/-1" if len(parts) == 3
+                else f"expected 'src dst sign', got {line.strip()!r}", lineno)
+            break
+        rows.extend((ids.setdefault(parts[0], len(ids)),
+                     ids.setdefault(parts[1], len(ids)), sign, lineno))
+    labels, n = tuple(ids), len(ids)
+    u, v, s, line = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4).T
+    if undirected:  # a line gives both orientations, the given one first
+        u, v, s, line = (np.concatenate(p) for p in
+                         ((u, v), (v, u), (s, s), (line, line)))
+    # the lines of each arc in file order, the arcs by (tail, head)
+    order = np.lexsort((line, u * n + v))
+    key = (u * n + v)[order]
+    clash = np.flatnonzero((np.diff(key) == 0) & (np.diff(s[order]) != 0))
+    if duplicate_policy == "reject" and len(clash):
+        i = clash[np.argmin(order[clash + 1])]
+        at, prev = order[i + 1], order[i]
+        raise ParseError(f"edge {labels[u[at]]}->{labels[v[at]]} conflicts "
+                         f"with sign given on line {line[prev]}", int(line[at]))
+    if error is not None:
+        raise error
+    last = order[np.diff(key, append=-1) != 0]
+    return SignedDigraph(n, (u[last], v[last], s[last]), undirected,
+                         labels or None)
 
 
 def load_edge_list(path, *, undirected: bool = False,
@@ -304,18 +306,15 @@ def load_edge_list(path, *, undirected: bool = False,
 def disjoint_union(graphs: Sequence[SignedDigraph]) -> SignedDigraph:
     """The graphs side by side: vertex v of a graph becomes v plus the vertex
     counts of the graphs before it.  Undirected if each of them is."""
-    edges: dict[tuple[int, int], int] = {}
-    offset = 0
-    for g in graphs:
-        edges.update(((u + offset, v + offset), s)
-                     for (u, v), s in g.edges.items())
-        offset += g.vertex_count
-    return SignedDigraph(offset, edges,
-                         from_undirected=all(g.from_undirected
-                                             for g in graphs))
+    starts = np.cumsum([0] + [g.vertex_count for g in graphs])
+    arcs = [np.concatenate([np.zeros(0, np.int64)] + [
+        g.arcs[k] + start * (k < 2) for g, start in zip(graphs, starts)])
+        for k in range(3)]
+    return SignedDigraph(int(starts[-1]), arcs,
+                         all(g.from_undirected for g in graphs))
 
 
 def complete_graph(n: int, sign: int = 1) -> SignedDigraph:
     """Complete directed graph on n vertices (both orientations, no loops)."""
-    edges = {(u, v): sign for u in range(n) for v in range(n) if u != v}
-    return SignedDigraph(n, edges, from_undirected=True)
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+    return SignedDigraph(n, (tails, heads, np.full(len(tails), sign)), True)

@@ -72,6 +72,8 @@ def _shuffled_graph(g: SignedDigraph, rng: np.random.Generator) -> SignedDigraph
     The slots are the arcs in (tail, head) order.  For an undirected graph
     they are the arcs (u, v) with u <= v, and each reverse arc (v, u) takes
     the sign of its slot, keeping the graph a valid undirected network.
+    Only the sign array changes: ``SignedDigraph.with_signs`` shares g's
+    views of the topology (CSR, reverse arcs, bicomponents), not rebuilt.
     """
     tails, heads, signs = g.arcs
     slots = (tails <= heads) | (not g.from_undirected)
@@ -79,9 +81,8 @@ def _shuffled_graph(g: SignedDigraph, rng: np.random.Generator) -> SignedDigraph
     shuffled[slots] = signs[slots][rng.permutation(int(slots.sum()))]
     if g.from_undirected:
         mirrors = ~slots
-        shuffled[mirrors] = shuffled[g._reverse_arcs()[mirrors]]
-    return replace(g, edges=dict(zip(zip(tails.tolist(), heads.tolist()),
-                                     shuffled.tolist())))
+        shuffled[mirrors] = shuffled[g._reverse_arcs[mirrors]]
+    return g.with_signs(shuffled)
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,13 @@ def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
     This process draws each shuffle from its own (seed, k) stream and,
     with ``workers`` 1, counts it; otherwise min(workers, shuffles)
     workers of the pool in ``parallel`` count them, with the same result.
-    Each shuffle permutes signs over g's arcs, so its census reuses the
-    unsigned series the engine keeps for that topology, one entry per
-    process: k shuffles cost k signed passes and one unsigned pass here
-    (none if g was just counted at ``max_length``), or at most one per
-    worker on the pool, whose workers keep their entry across tasks and
-    calls.
+    Each shuffle is g's arc arrays with a permuted sign array, sharing g's
+    views of the topology (undirected CSR, bicomponents), so its census
+    reuses the unsigned series the engine keeps for that topology, one
+    entry per process: k shuffles cost k signed passes and one unsigned
+    pass here (none if g was just counted at ``max_length``), or at most
+    one per worker on the pool, whose workers keep their entry across
+    tasks and calls.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")

@@ -31,12 +31,14 @@ def enumerate_simple_cycles(
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
+    out = [[] for _ in range(g.vertex_count)]  # (head, sign), heads ascending
     count = 0
-    for v in range(g.vertex_count):
-        if g.sign(v, v) != 0:
+    for u, w, s in zip(*(a.tolist() for a in g.arcs)):
+        out[u].append((w, s))
+        if u == w:
             count += 1
             if visitor is not None:
-                visitor(1, g.sign(v, v), (v,))
+                visitor(1, s, (u,))
     if max_length == 1:
         return count
 
@@ -47,13 +49,13 @@ def enumerate_simple_cycles(
         nonlocal count
         path.append(v)
         on_path.add(v)
-        for w in g.out_neighbours(v):
+        for w, s in out[v]:
             if w == root and len(path) >= 2:
                 count += 1
                 if visitor is not None:
-                    visitor(len(path), sign * g.sign(v, root), tuple(path))
+                    visitor(len(path), sign * s, tuple(path))
             elif w > root and w not in on_path and len(path) < max_length:
-                dfs(root, w, sign * g.sign(v, w))
+                dfs(root, w, sign * s)
         path.pop()
         on_path.discard(v)
 

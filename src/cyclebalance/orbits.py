@@ -67,8 +67,7 @@ def hashimoto_matrix(g: SignedDigraph) -> np.ndarray:
         )
     tails, heads, signs = g.arcs
     # arc e = (u, v) moves to every arc f leaving v, bar its reversal (v, u)
-    out = np.searchsorted(tails, np.arange(g.vertex_count + 1))
-    lo, hi = out[heads], out[heads + 1]
+    lo, hi = g.out_offsets[heads], g.out_offsets[heads + 1]
     e = np.repeat(np.arange(len(tails)), hi - lo)
     f = _ranges(lo, hi)
     keep = heads[f] != tails[e]

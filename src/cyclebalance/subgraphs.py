@@ -32,8 +32,8 @@ it is, or a ``Packing``: vertex sets of a graph laid side by side as one
 graph (``pack``), which the cycle engine builds from the bicomponents.  Part
 i takes the next len(part) ids, its vertices in ascending order, and the
 arcs of the graph between two of its vertices; a vertex in several parts
-is copied into each, and loops are dropped.  The arcs and the undirected
-adjacency (CSR) are built in numpy from ``SignedDigraph.arcs``.  Consecutive
+is copied into each, and loops are dropped.  The arcs are built in numpy
+from ``SignedDigraph.arcs``, the CSR as ``SignedDigraph.csr``.  Consecutive
 parts are packed into groups of at most ``_GROUP`` = 64 vertices, one mask
 word, and a larger part forms a group of its own.  Groups are enumerated in
 turn, each as a range of roots split into blocks as below, so no subgraph
@@ -164,12 +164,8 @@ def pack(g: SignedDigraph, parts: Sequence[np.ndarray]) -> Packing:
     order = np.argsort(p_tails, kind="stable")
     p_tails, p_heads = p_tails[order], p_heads[order]
     total = len(verts)
-    # the undirected edges both ways, each once; np.unique would import
-    # numpy.ma on its first call
-    both = np.sort(np.concatenate([p_tails * total + p_heads,
-                                   p_heads * total + p_tails]))
-    both = both[np.diff(both, prepend=-1) != 0]
-    indptr = np.searchsorted(both, np.arange(total + 1) * total)
+    p_signs = signs[arc[at[order]]]
+    indptr, indices = SignedDigraph(total, (p_tails, p_heads, p_signs)).csr
     # consecutive parts up to _GROUP vertices; a larger part alone
     bounds = [0]
     ends = np.cumsum(sizes)
@@ -177,8 +173,8 @@ def pack(g: SignedDigraph, parts: Sequence[np.ndarray]) -> Packing:
         if hi - bounds[-1] > _GROUP and lo > bounds[-1]:
             bounds.append(lo)
     bounds.append(total)
-    return Packing(p_tails, p_heads, signs[arc[at[order]]], indptr,
-                   both % max(total, 1), np.array(bounds))
+    return Packing(p_tails, p_heads, p_signs, indptr, indices,
+                   np.array(bounds))
 
 
 def size_classes(g: SignedDigraph | Packing, max_size: int

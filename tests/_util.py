@@ -1,6 +1,7 @@
 import random
 
-from cyclebalance.graph import SignedDigraph
+from cyclebalance.graph import (_SIGN_TOKENS, GraphError, ParseError,
+                                SignedDigraph)
 
 
 def random_signed_digraph(rng: random.Random, max_vertices: int = 9,
@@ -60,3 +61,47 @@ def clustered_graph(structure_seed: int, sign_seed: int, clusters: int = 10,
         u, v = c * size, ((c + 1) % clusters) * size + 1
         edges[(u, v)] = edges[(v, u)] = 1
     return SignedDigraph(clusters * size, edges, from_undirected=True)
+
+
+def neighbourhood(g: SignedDigraph, vertices) -> list[int]:
+    """Vertices outside the set touching it by an edge in either direction."""
+    inside = set(vertices)
+    for v in inside:
+        if not 0 <= v < g.vertex_count:
+            raise GraphError(f"vertex {v} not in graph")
+    return sorted(set().union(*map(g.undirected_neighbours, inside)) - inside)
+
+
+def reference_parse(text: str, undirected: bool = False,
+                    duplicate_policy: str = "reject"):
+    """(labels, edge dict) of an edge list by a line-by-line dict parser:
+    the reference for ``parse_edge_list``, raising the same ``ParseError``s.
+    """
+    ids: dict[str, int] = {}
+    raw: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> (sign, line)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'src dst sign', got {stripped!r}",
+                             lineno)
+        su, sv, stok = parts
+        sign = _SIGN_TOKENS.get(stok)
+        if sign is None:
+            raise ParseError(f"sign token {stok!r} not in +1/-1", lineno)
+        u = ids.setdefault(su, len(ids))
+        v = ids.setdefault(sv, len(ids))
+        prev = raw.get((u, v))
+        if (prev is not None and prev[0] != sign
+                and duplicate_policy == "reject"):
+            raise ParseError(f"edge {su}->{sv} conflicts with sign given on "
+                             f"line {prev[1]}", lineno)
+        # when undirected, (u, v) and (v, u) always hold one sign, so the
+        # check above covers the reverse pair too
+        raw[(u, v)] = (sign, lineno)
+        if undirected:
+            raw[(v, u)] = (sign, lineno)
+    labels = tuple(sorted(ids, key=ids.get)) or None
+    return labels, {pair: sign for pair, (sign, _) in raw.items()}

@@ -131,6 +131,19 @@ def test_shuffle_matches_slot_permutation_reference(rng):
     assert min(kinds.values()) >= 10
 
 
+def test_shuffle_changes_only_the_sign_array(rng):
+    for undirected in (False, True):
+        g = random_signed_digraph(rng, vertices=9, edge_prob=0.5,
+                                  loop_prob=0.3, undirected=undirected)
+        cycle_census(g, 4)  # computes the views of the topology, but
+        g.out_neighbours(0)  # the out-arc offsets
+        shuffled = _shuffled_graph(g, np.random.default_rng(3))
+        for view in ("out_offsets", "csr", "_reverse_arcs", "bicomponents"):
+            assert vars(shuffled)[view] is vars(g)[view], view
+        assert all((a == b).all() for a, b in zip(shuffled.arcs[:2],
+                                                  g.arcs[:2]))
+
+
 def test_shuffle_all_positive_is_identity():
     g = parse_edge_list("0 1 1\n1 2 1\n2 0 1", undirected=True)
     res = shuffle_null(g, 3, 4, seed=1)
