@@ -69,10 +69,11 @@ with g_1 = a and g_m = u A_P^(m-2) c, the signed walks that leave w and
 first return to it after m steps.  This follows from det(I - z A_H) =
 det(I - z A_P) (1 - sum_m g_m z^m), a Schur complement, and from
 sum_l Tr A^l z^l = -z d/dz log det(I - z A).  The g_m come from chains of
-half length, x_b = A_P^b c and y_a = u A_P^a, as g_(a+b+2) = y_a x_b; on a
-symmetric graph (``SignedDigraph.symmetric``) y_a = x_a.  So a subgraph
-costs ceil((L-2)/2) matrix-vector products per chain and an O(L^2)
-recursion, vectorised over the slice.
+half length, x_b = A_P^b c and y_a = u A_P^a, as g_(a+b+2) = y_a x_b; when
+every sign vector of the pass signs each arc as its reverse (for g's own
+signs, ``SignedDigraph.symmetric``), every A_H is symmetric and y_a = x_a.
+So a subgraph costs ceil((L-2)/2) matrix-vector products per chain and an
+O(L^2) recursion, vectorised over the slice.
 Bound: the entries of x_b and y_a, g_m, and every term and partial sum of
 the recursion at degree l are sub-sums of the matching unsigned walk
 counts, and those of D_l sum to Tr |A_H|^l - Tr |A_P|^l <= h r^l, so the
@@ -84,9 +85,9 @@ parent in the block's previous class, its vertex row, |N(H)| and whether
 it has children, and per block its inner vertices, the only ones its
 subgraphs can take.  A class is built in slices from its parents' stacked
 int8 matrices: only the new vertex's row and column are new, 2h-1 gathers
-from a dense int8 sign table T[rank(u), rank(v)] = sign(u -> v) over the
-block's inner vertices, ranked in ascending id.  One table buffer serves
-every block: a block sets the entries of its arcs among its inner
+from a dense int8 sign table T[rank(u), rank(v)] = code(u -> v) (below)
+over the block's inner vertices, ranked in ascending id.  One table buffer
+serves every block: a block sets the entries of its arcs among its inner
 vertices, from out-arc lists built once per census, and they are cleared
 before the next block, so a block costs O(those arcs), as its neighbour
 masks do in ``subgraphs``.
@@ -128,22 +129,31 @@ the cycles of each length whatever their signs, so it is a function of the
 arc set and L alone.  ``cycle_census`` keeps one entry: L, the tails
 and heads of the graph's read-only ``arcs``, sorted by (tail, head), which
 determine the arc set, and the unsigned series computed for them.  A later
-census with the same L and arc arrays, compared in full, takes that series
-and traces only the signed stack; any other topology computes both
-series in one pass and replaces the entry.  So repeat censuses of one
-graph, and the sign shuffles of ``nullmodel.shuffle_null``, which permute
-signs over a fixed topology, trace |A_H| once per process.  The checks
-still run on every census: every series computed is checked for
-divisibility, and ``CycleCensus.from_weights`` checks the parity and
-magnitude of the fresh signed series against the reused unsigned one.
-The entry holds 16 bytes per arc and L integers.
+pass with the same L and arc arrays, compared in full, takes that series;
+any other topology traces |A_H| beside the signed stacks and replaces the
+entry.  So repeat censuses of one graph trace |A_H| once per process.
+The checks still run on every census: every series computed is checked
+for divisibility, and ``CycleCensus.from_weights`` checks the parity and
+magnitude of each signed series against the unsigned one.  The entry
+holds 16 bytes per arc and L integers.
+
+Several sign vectors.  The sign vectors of one topology share the
+enumeration, cycle flags, slots, |A_H|, r and unsigned series, so
+``cycle_census`` counts K of them (``nullmodel.shuffle_null``'s shuffles)
+in one pass, each adding only its signed stack.  The table and the kept
+matrices hold one int8 code per entry: bit 0 is the arc, and bit w + 1 is
+set where vector w signs it -1.  So a pass takes at most
+``_SIGNS_PER_PASS`` = 7 vectors; more take several passes, reusing the
+unsigned series as above.  A slice decodes |A_H| = code & 1 and vector
+w's A_H = |A_H| - (code >> w & 2); only the kept traces and the slice
+temporaries grow with K.  A plain census is the pass of g's own signs.
 
 Each census logs one DEBUG record per subgraph size on the
 ``cyclebalance.engine`` logger: subgraphs, cyclic subgraphs, slices and the
 widest trace dtype; then the number of bicomponents, the vertices inside
 them and the size of the largest; then the packing's group count, the
 block count and the largest sign table in bytes; and then whether the
-unsigned series was computed or reused.
+unsigned series was computed or reused, and the stacks traced, per pass.
 """
 
 from __future__ import annotations
@@ -180,6 +190,8 @@ _LADDER = (np.dtype(np.float32), np.dtype(np.float64), np.dtype(np.int64),
            np.dtype(object))
 # bytes of the temporaries of one slice of a size class
 _CHUNK_BYTES = 1 << 21
+# sign vectors of one pass: an int8 code holds 7 sign bits beside the arc's
+_SIGNS_PER_PASS = 7
 
 _log = logging.getLogger(__name__)
 
@@ -442,20 +454,19 @@ def _run_sums(t: np.ndarray, runs: np.ndarray, h: int, r: int) -> np.ndarray:
         np.add.reduceat(_widen(t[cut:], np.dtype(object)), runs, axis=2)])
 
 
-def _short_cycles(g: SignedDigraph) -> list[list[int]]:
-    """The signed and the unsigned degree-l aggregates, l = 0..2, of the
-    cycles of lengths 1 and 2, loops and pairs of antiparallel arcs, read
-    from ``g.arcs``: 0, the loops' weights, twice the pairs'."""
-    tails, heads, signs = g.arcs
+def _short_cycles(g: SignedDigraph, signs: np.ndarray) -> list[list[int]]:
+    """The degree-l aggregates, l = 0..2, of the cycles of lengths 1 and 2,
+    loops and pairs of antiparallel arcs, of each sign vector in ``signs``
+    and then unsigned: 0, the loops' weights, twice the pairs'."""
+    tails, heads, _ = g.arcs
     rev = g._reverse_arcs
-    loops = signs[tails == heads]
     pair = (rev >= 0) & (tails < heads)
-    pairs = signs[pair] * signs[rev[pair]]
-    return [[0, int(loops.sum()), 2 * int(pairs.sum())],
-            [0, len(loops), 2 * len(pairs)]]
+    signs = np.concatenate([signs, np.ones((1, len(tails)), np.int8)])
+    return [[0, int(w[tails == heads].sum()),
+             2 * int((w[pair] * w[rev[pair]]).sum())] for w in signs]
 
 
-def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
+def cycle_census(g: SignedDigraph, max_length: int, signs=None):
     """Exact per-length counts of positive and negative simple cycles.
 
     Evaluates the generating function on the signed matrices A_H and the
@@ -466,11 +477,24 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
     integers across blocks and bicomponents, and the binomials are applied
     once at the end, from degree 3 on.  Lengths 1 and 2 come from the arcs.
     The unsigned series of the last topology is reused, not traced again.
+
+    ``signs``, K sign vectors in ``g.arcs`` order, returns the list of
+    their K censuses on g's topology instead ("Several sign vectors").
     """
-    global _unsigned_entry
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    n = g.vertex_count
+    batch = np.asarray(g.arcs[2][None] if signs is None else signs)
+    if batch.ndim != 2 or batch.shape[1] != g.edge_count or (
+            np.abs(batch) != 1).any():
+        raise ValueError(f"signs must be rows of {g.edge_count} +-1 signs")
+    censuses = [c for lo in range(0, len(batch), _SIGNS_PER_PASS) for c in
+                _census(g, max_length, batch[lo:lo + _SIGNS_PER_PASS])]
+    return censuses[0] if signs is None else censuses
+
+
+def _census(g: SignedDigraph, max_length: int, batch: np.ndarray):
+    """The censuses of at most ``_SIGNS_PER_PASS`` sign vectors, one pass."""
+    global _unsigned_entry
     tails, heads, _ = g.arcs
     # read once: a concurrent replacement can cost a reuse, never mix
     # one entry's key with another's series
@@ -478,16 +502,22 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
     reused = (entry is not None and entry[0] == max_length
               and np.array_equal(entry[1], tails)
               and np.array_equal(entry[2], heads))
-    # the stacks traced: signed, then unsigned unless reused
-    n_out = 2 - reused
+    # the stacks traced: one per sign vector, then unsigned unless reused
+    n_out = len(batch) + 1 - reused
+    # each arc's code (module docstring), and the shift of bit w + 1 to 1
+    codes = (1 + ((batch < 0) << np.arange(1, len(batch) + 1)[:, None]).sum(
+        axis=0)).astype(np.uint8).view(np.int8)
+    shifts = np.arange(len(batch), dtype=np.int8)[:, None, None, None]
+    rev = g._reverse_arcs  # every A_H is symmetric if every vector is
+    symmetric = bool((rev >= 0).all() and (batch[:, rev] == batch).all())
     # cycles of length >= 3 are counted on the bicomponents side by side;
     # none is longer than the largest, so no degree past it is traced
     parts = g.bicomponents
     top = min(max_length, max(map(len, parts), default=0))
     packed = pack(g, parts if max_length >= 3 else ())
-    # out-arcs of packed vertex u: heads and signs [out[u], out[u + 1])
+    # out-arcs of packed vertex u: heads and arcs [out[u], out[u + 1])
     out = np.searchsorted(packed.tails, np.arange(packed.bounds[-1] + 1))
-    # table[rank[u] * m + rank[v]] = sign(u -> v) over the m inner vertices
+    # table[rank[u] * m + rank[v]] = code(u -> v) over the m inner vertices
     # of the current block; ``held`` lists the entries set, to clear before
     # the next block
     rank = np.full(packed.bounds[-1], -1, dtype=np.int64)
@@ -520,7 +550,7 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
             col = rank[packed.heads[arc]]
             keep = col >= 0
             held = (np.repeat(np.arange(m) * m, hi - lo) + col)[keep]
-            table[held] = packed.signs[arc[keep]]
+            table[held] = codes[packed.arcs[arc[keep]]]
             blocks += 1
         # a class keeps what its children read, only for the subgraphs
         # that grow: matrices, cycle flags and traces at degrees h+1..top,
@@ -573,12 +603,14 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
             if not len(live):
                 continue
             live_sub = sub[live]
-            absolute = np.abs(live_sub)
+            absolute = live_sub & 1
             r = _row_sum_bound(absolute)
+            # stack w: -1 where bit w + 1 is set, else the arc bit
+            stacks = absolute - ((live_sub >> shifts) & 2)
             t = _walk_traces(
-                np.concatenate([live_sub, absolute][:n_out]), r,
+                np.concatenate([*stacks, absolute][:n_out]), r,
                 up_traces[:, :, p[live]].reshape(top - h + 1, -1),
-                top, g.symmetric
+                top, symmetric
             ).reshape(top - h + 1, n_out, -1)
             traces = _widen(traces, _wider(traces.dtype, t.dtype))
             traces[:, :, at:at + forks] = _widen(t[1:, :, :forks],
@@ -597,20 +629,20 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
                 _log.debug("size %d: %d subgraphs, %d cyclic, %d slices, "
                            "widest trace dtype %s", h, k, live, slices,
                            _LADDER[widest] if widest >= 0 else "none")
-        inside = np.zeros(n, dtype=bool)
+        inside = np.zeros(g.vertex_count, dtype=bool)
         for part in parts:
             inside[part] = True
         _log.debug("%d bicomponents, %d of %d vertices, largest %d",
-                   len(parts), inside.sum(), n,
+                   len(parts), inside.sum(), g.vertex_count,
                    max(map(len, parts), default=0))
         _log.debug("%d groups, %d blocks, largest sign table %d bytes",
                    len(packed.bounds) - 1, blocks, table.nbytes)
-        _log.debug("unsigned series %s",
-                   "reused" if reused else "computed")
+        _log.debug("unsigned series %s; stacks per pass: %d",
+                   "reused" if reused else "computed", n_out)
     # degree-l aggregates, l times the coefficients: lengths 1 and 2 from
     # the arcs, longer ones from the bicomponents
     buckets = [(short + [0] * max_length)[:max_length + 1]
-               for short in _short_cycles(g)[:n_out]]
+               for short in _short_cycles(g, batch)[:n_out]]
     for h, by_count in enumerate(sums):
         for count in range(by_count.shape[2]):
             # C(|N(H)|, l - h) vanishes for degrees beyond h + |N(H)|
@@ -622,8 +654,8 @@ def cycle_census(g: SignedDigraph, max_length: int) -> CycleCensus:
     if reused:
         series.append(entry[3])
     else:
-        _unsigned_entry = (max_length, tails, heads, series[1])
-    return CycleCensus.from_weights(*series)
+        _unsigned_entry = (max_length, tails, heads, series[-1])
+    return [CycleCensus.from_weights(s, series[-1]) for s in series[:-1]]
 
 
 def balance_row(length: int, r: Fraction | float | None,
@@ -692,6 +724,6 @@ def exact_low_order_ratios(g: SignedDigraph) -> BalanceTable:
                              shape=(g.vertex_count,) * 2)
         return int((s @ s).multiply(s.T).sum())
 
-    buckets = [short + [trace3(w)]
-               for short, w in zip(_short_cycles(g), (signs, np.abs(signs)))]
+    buckets = [short + [trace3(w)] for short, w in
+               zip(_short_cycles(g, g.arcs[2][None]), (signs, np.abs(signs)))]
     return balance_table(CycleCensus.from_weights(*_finish(buckets, 3)))

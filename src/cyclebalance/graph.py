@@ -91,6 +91,13 @@ class SignedDigraph:
     def __getstate__(self):  # a mappingproxy, the edges view, does not pickle
         return {k: v for k, v in vars(self).items() if k != "edges"}
 
+    def __setstate__(self, state):  # arrays unpickle writeable
+        for value in state.values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    _frozen(a)
+        vars(self).update(state)
+
     @property
     def edge_count(self) -> int:
         return len(self.arcs[0])

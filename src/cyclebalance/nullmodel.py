@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
-from .engine import (BalanceTable, balance_row, balance_table, cycle_census,
-                     mean_and_2sigma)
+from .engine import (_SIGNS_PER_PASS, BalanceTable, balance_row,
+                     balance_table, cycle_census, mean_and_2sigma)
 from .graph import SignedDigraph
 from .parallel import census_map
 
@@ -66,14 +67,13 @@ def with_null_bands(table: BalanceTable, p: float) -> BalanceTable:
     return BalanceTable(tuple(rows))
 
 
-def _shuffled_graph(g: SignedDigraph, rng: np.random.Generator) -> SignedDigraph:
-    """Permute the existing signs over edge slots, preserving counts exactly.
+def _shuffled_signs(g: SignedDigraph, rng: np.random.Generator) -> np.ndarray:
+    """g's signs permuted over edge slots, in ``arcs`` order, counts kept.
 
     The slots are the arcs in (tail, head) order.  For an undirected graph
     they are the arcs (u, v) with u <= v, and each reverse arc (v, u) takes
-    the sign of its slot, keeping the graph a valid undirected network.
-    Only the sign array changes: ``SignedDigraph.with_signs`` shares g's
-    views of the topology (CSR, reverse arcs, bicomponents), not rebuilt.
+    the sign of its slot, so ``g.with_signs`` of the result is a valid
+    undirected network.
     """
     tails, heads, signs = g.arcs
     slots = (tails <= heads) | (not g.from_undirected)
@@ -82,7 +82,7 @@ def _shuffled_graph(g: SignedDigraph, rng: np.random.Generator) -> SignedDigraph
     if g.from_undirected:
         mirrors = ~slots
         shuffled[mirrors] = shuffled[g._reverse_arcs[mirrors]]
-    return g.with_signs(shuffled)
+    return shuffled
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,16 @@ def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
                  seed: int = 0, workers: int = 1) -> ShuffleNullResult:
     """Empirical null: average exact balance ratios over sign shuffles.
 
-    This process draws each shuffle from its own (seed, k) stream and,
-    with ``workers`` 1, counts it; otherwise min(workers, shuffles)
-    workers of the pool in ``parallel`` count them, with the same result.
-    Each shuffle is g's arc arrays with a permuted sign array, sharing g's
-    views of the topology (undirected CSR, bicomponents), so its census
-    reuses the unsigned series the engine keeps for that topology, one
-    entry per process: k shuffles cost k signed passes and one unsigned
-    pass here (none if g was just counted at ``max_length``), or at most
-    one per worker on the pool, whose workers keep their entry across
-    tasks and calls.
+    Each shuffle is g's signs permuted, drawn in this process from its own
+    (seed, k) stream.  Shuffles keep g's topology, so one census pass counts
+    a batch of them, sharing the enumeration, assembly, acyclicity filter
+    and unsigned stack, and each adds only its signed traces.  With
+    ``workers`` 1 a batch is ``engine._SIGNS_PER_PASS`` shuffles, the most
+    one pass takes, or the rest; on the pool in ``parallel`` each task is a
+    batch of at most that many and of an even share per worker, with the
+    same result.  The unsigned series is reused as the engine keeps it: none is
+    traced here if g was just counted at ``max_length``, and at most one per
+    worker on the pool, whose workers keep it across tasks and calls.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
@@ -116,21 +116,20 @@ def shuffle_null(g: SignedDigraph, max_length: int, shuffles: int,
         raise ValueError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    per_length: dict[int, list[float]] = {l: [] for l in range(1, max_length + 1)}
-    counts: dict[int, tuple[int, int]] = {l: (0, 0) for l in range(1, max_length + 1)}
-    graphs = (_shuffled_graph(g, np.random.default_rng([seed, k]))
-              for k in range(shuffles))
-    for census in census_map(cycle_census, graphs, shuffles, max_length,
-                             workers):
-        for row in balance_table(census).rows:
-            if row.ratio_negative is not None:
-                per_length[row.length].append(float(row.ratio_negative))
-            p0, n0 = counts[row.length]
-            counts[row.length] = (p0 + row.n_pos, n0 + row.n_neg)
+    per_task = min(_SIGNS_PER_PASS, -(-shuffles // workers))
+    starts = range(0, shuffles, per_task)
+    batches = (np.stack([_shuffled_signs(g, np.random.default_rng([seed, k]))
+                         for k in range(lo, min(lo + per_task, shuffles))])
+               for lo in starts)
+    censuses = census_map(cycle_census, repeat(g), len(starts), max_length,
+                          workers, batches)
+    tables = [balance_table(c).rows for c in chain.from_iterable(censuses)]
     rows = []
-    for l in range(1, max_length + 1):
-        mean, spread = mean_and_2sigma(per_length[l])
-        rows.append(balance_row(l, mean, *counts[l], stderr=spread))
+    for l, col in enumerate(zip(*tables), start=1):
+        mean, spread = mean_and_2sigma([float(r.ratio_negative) for r in col
+                                        if r.ratio_negative is not None])
+        rows.append(balance_row(l, mean, sum(r.n_pos for r in col),
+                                sum(r.n_neg for r in col), stderr=spread))
     return ShuffleNullResult(BalanceTable(tuple(rows)), shuffles)
 
 

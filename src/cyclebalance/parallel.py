@@ -7,14 +7,14 @@ other call is reading from it, and joined by the exit hook of
 ``concurrent.futures`` when the interpreter ends.  The Monte Carlo
 estimate and the shuffle null share it.
 
-A task is one graph, pickled to a worker, which only counts it.  A call
-submits its graphs as it draws them, so drawing in this process overlaps
-counting in the workers.  Workers live across tasks and calls, so each
-keeps the engine's reusable unsigned series of the last topology it
-counted.  They also keep the rest of this process's state as it was when
-the pool started them: logging set up or module globals patched later
-are not seen by them.  While the pool lives, this process keeps the
-executor's manager and queue feeder threads.
+A task is one graph and any further arguments of its census, pickled to a
+worker, which only counts it.  A call submits its tasks as it draws them,
+so drawing in this process overlaps counting in the workers.  Workers live
+across tasks and calls, so each keeps the engine's reusable unsigned
+series of the last topology it counted.  They also keep the rest of this
+process's state as it was when the pool started them: logging set up or
+module globals patched later are not seen by them.  While the pool lives,
+this process keeps the executor's manager and queue feeder threads.
 
 Calls may come from several threads, or nest (a ``progress`` callback
 that runs another estimate).  A call that asks for a different size
@@ -87,32 +87,34 @@ def _release(pool, broken: bool) -> None:
             _drop_pool()
 
 
-def census_map(census: Callable[[SignedDigraph, int], CycleCensus],
+def census_map(census: Callable[..., CycleCensus],
                graphs: Iterable[SignedDigraph], tasks: int, max_length: int,
-               workers: int) -> Iterator[CycleCensus]:
-    """``census(graph, max_length)`` of each of the ``tasks`` graphs, in
-    order, computed as the returned iterator is read.
+               workers: int, *extra: Iterable) -> Iterator:
+    """``census(graph, max_length, *more)``, ``more`` the task's items of
+    ``extra``, of each of the ``tasks`` graphs, in order, computed as the
+    returned iterator is read.
 
     With min(workers, tasks) <= 1 every census is called here with exactly
-    those two positional arguments, through the ``census`` the caller
-    passes, so that a wrapper installed on the caller's module sees each
-    call; otherwise pool workers count them.  A census that raises raises
-    here, and the tasks not yet read are cancelled.  Callers check that
+    those positional arguments, through the ``census`` the caller passes,
+    so that a wrapper installed on the caller's module sees each call;
+    otherwise pool workers count them.  A census that raises raises here,
+    and the tasks not yet read are cancelled.  Callers check that
     ``workers`` >= 1.
     """
     size = min(workers, tasks)
     if size <= 1:
-        return (census(g, max_length) for g in graphs)
-    return _pooled(size, census, graphs, max_length)
+        return (census(g, max_length, *more)
+                for g, *more in zip(graphs, *extra))
+    return _pooled(size, census, graphs, max_length, extra)
 
 
-def _pooled(size: int, census, graphs, max_length: int):
+def _pooled(size: int, census, graphs, max_length: int, extra):
     from concurrent.futures.process import BrokenProcessPool
 
     pool = _acquire(size)
     broken = False
     try:
-        yield from pool.map(census, graphs, repeat(max_length))
+        yield from pool.map(census, graphs, repeat(max_length), *extra)
     except BrokenProcessPool:
         broken = True
         raise

@@ -124,7 +124,7 @@ class Packing(NamedTuple):
 
     tails: np.ndarray    # (a,) int64: the arcs within a part, loops dropped,
     heads: np.ndarray    # (a,) int64:   in packed ids, by (tail, head)
-    signs: np.ndarray    # (a,) int8
+    arcs: np.ndarray     # (a,) int64: each one's position in ``g.arcs``
     indptr: np.ndarray   # (N + 1,) int64: the undirected neighbours of
     indices: np.ndarray  # packed vertex v, indices[indptr[v]:indptr[v + 1]]
     bounds: np.ndarray   # group i holds packed ids bounds[i]..bounds[i + 1]-1
@@ -144,7 +144,7 @@ def pack(g: SignedDigraph, parts: Sequence[np.ndarray]) -> Packing:
     copies = np.argsort(verts, kind="stable")
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(verts, minlength=n), out=start[1:])
-    tails, heads, signs = g.arcs
+    tails, heads, _ = g.arcs
     arc = np.flatnonzero(tails != heads)
     # each arc is looked up from its end with fewer copies, x, in the
     # parts of x, for its other end y
@@ -164,8 +164,8 @@ def pack(g: SignedDigraph, parts: Sequence[np.ndarray]) -> Packing:
     order = np.argsort(p_tails, kind="stable")
     p_tails, p_heads = p_tails[order], p_heads[order]
     total = len(verts)
-    p_signs = signs[arc[at[order]]]
-    indptr, indices = SignedDigraph(total, (p_tails, p_heads, p_signs)).csr
+    indptr, indices = SignedDigraph(
+        total, (p_tails, p_heads, np.ones(len(order), np.int8))).csr
     # consecutive parts up to _GROUP vertices; a larger part alone
     bounds = [0]
     ends = np.cumsum(sizes)
@@ -173,7 +173,7 @@ def pack(g: SignedDigraph, parts: Sequence[np.ndarray]) -> Packing:
         if hi - bounds[-1] > _GROUP and lo > bounds[-1]:
             bounds.append(lo)
     bounds.append(total)
-    return Packing(p_tails, p_heads, p_signs, indptr, indices,
+    return Packing(p_tails, p_heads, arc[at[order]], indptr, indices,
                    np.array(bounds))
 
 

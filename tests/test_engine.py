@@ -306,15 +306,23 @@ def test_packed_enumeration_equals_oracle(undirected):
 def test_only_bicomponents_are_enumerated(monkeypatch):
     # spy: the packed graphs the engine enumerates, as edge dicts, and their
     # subgraph counts
-    enumerated, classes = [], engine.size_classes
+    enumerated, packed = [], []
+    classes, pack = engine.size_classes, engine.pack
 
-    def classes_spy(g, max_size):
-        arcs = zip(g.tails.tolist(), g.heads.tolist())
-        enumerated.append([dict(zip(arcs, g.signs.tolist())), 0])
-        for c in classes(g, max_size):
+    def pack_spy(g, parts):
+        packed.append(g)
+        return pack(g, parts)
+
+    def classes_spy(p, max_size):
+        # p.arcs: each packed arc's position in the packed graph's arcs
+        arcs = zip(p.tails.tolist(), p.heads.tolist())
+        signs = packed[-1].arcs[2][p.arcs].tolist()
+        enumerated.append([dict(zip(arcs, signs)), 0])
+        for c in classes(p, max_size):
             enumerated[-1][1] += len(c.verts)
             yield c
 
+    monkeypatch.setattr(engine, "pack", pack_spy)
     monkeypatch.setattr(engine, "size_classes", classes_spy)
     # a triangle 0-1-2 with the pendant tree 2-3, 3-4, 3-5
     g = parse_edge_list("0 1 1\n1 2 -1\n2 0 1\n2 3 1\n3 4 -1\n3 5 1",
@@ -636,6 +644,79 @@ def test_tribe_census_keeps_only_what_children_read():
     assert peak < _TRIBE_CENSUS_PEAK_BYTES, peak
 
 
+
+def test_tribe_sign_pass_peaks_no_higher_than_a_fresh_census():
+    # two sign vectors share one int8 matrix per subgraph and, with the
+    # unsigned series reused, trace as many stacks as a fresh census
+    g = load_gahuku_gama()
+    cycle_census(g, 16)
+    signs = np.stack([g.arcs[2], -g.arcs[2]])
+    tracemalloc.start()
+    try:
+        censuses = cycle_census(g, 16, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.total(16) for c in censuses] == [censuses[0].total(16)] * 2
+    assert peak < _TRIBE_CENSUS_PEAK_BYTES, peak
+
+
+def _sign_vectors(rng, g, k, symmetric):
+    """k random sign vectors of g's arcs; with ``symmetric`` each reverse
+    arc takes its arc's sign, so every A_H of a symmetric topology is."""
+    tails, heads, _ = g.arcs
+    rev = g._reverse_arcs
+    signs = np.array([[rng.choice((1, -1)) for _ in tails] for _ in range(k)],
+                     dtype=np.int8)
+    if symmetric:
+        mirror = (rev >= 0) & (tails > heads)
+        signs[:, mirror] = signs[:, rev[mirror]]
+    return signs
+
+
+@pytest.mark.parametrize("kind", ["undirected", "directed", "opposite"])
+def test_sign_pass_equals_single_censuses(kind, caplog):
+    # K = 1..9 vectors, across the pass cap of 7, on topologies with loops;
+    # directed pairs of opposite sign and unmirrored vectors on undirected
+    # topologies keep A_H asymmetric
+    rng = random.Random(29)
+    cap, L = engine._SIGNS_PER_PASS, 6
+    for k in range(1, 10):
+        g = random_signed_digraph(rng, vertices=7, edge_prob=0.45,
+                                  loop_prob=0.3,
+                                  undirected=kind == "undirected")
+        if kind == "opposite":
+            g = with_opposite_reverses(g, rng)
+        signs = _sign_vectors(rng, g, k, symmetric=k % 2 == 0)
+        graphs = [SignedDigraph(g.vertex_count, (*g.arcs[:2], s))
+                  for s in signs]
+        want = [brute_force_census(h, L) for h in graphs]
+        engine._unsigned_entry = None
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cyclebalance.engine"):
+            computed = cycle_census(g, L, signs)
+            reused = cycle_census(g, L, list(signs))
+        passes = [r.getMessage() for r in caplog.records
+                  if "stacks per pass" in r.getMessage()]
+        first, rest = min(k, cap), max(k - cap, 0)
+        assert passes == (
+            [f"unsigned series computed; stacks per pass: {first + 1}"]
+            + [f"unsigned series reused; stacks per pass: {rest}"] * (rest > 0)
+            + [f"unsigned series reused; stacks per pass: {first}"]
+            + [f"unsigned series reused; stacks per pass: {rest}"] * (rest > 0)
+        ), (kind, k)
+        singles = [cycle_census(h, L) for h in graphs]
+        assert computed == reused == singles == want, (kind, k)
+
+
+def test_sign_pass_rejects_malformed_vectors():
+    g = TRIAD
+    for signs in (g.arcs[2], [g.arcs[2][:-1]], [np.zeros(g.edge_count)],
+                  [np.full(g.edge_count, 2)]):
+        with pytest.raises(ValueError, match="signs must be rows"):
+            cycle_census(g, 3, signs)
+
+
 # positive and negative cycle counts at lengths 1..20 of the 22-vertex
 # graph below, N_20 = 94,998; it has one bicomponent of 21 vertices and
 # 1,051,058 connected subgraphs
@@ -673,14 +754,15 @@ def test_debug_records_per_size(caplog, monkeypatch):
         "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float32",
         "1 bicomponents, 3 of 4 vertices, largest 3",
         "1 groups, 1 blocks, largest sign table 9 bytes",
-        # the first census of g, before the capture, computed it
-        "unsigned series reused",
+        # the first census of g, before the capture, computed it; one
+        # signed stack traced
+        "unsigned series reused; stacks per pass: 1",
         "size 1: 3 subgraphs, 0 cyclic, 1 slices, widest trace dtype none",
         "size 2: 3 subgraphs, 3 cyclic, 1 slices, widest trace dtype float32",
         "size 3: 1 subgraphs, 1 cyclic, 1 slices, widest trace dtype float32",
         "1 bicomponents, 3 of 3 vertices, largest 3",
         "1 groups, 1 blocks, largest sign table 9 bytes",
-        "unsigned series computed",
+        "unsigned series computed; stacks per pass: 2",
     ]
     # one word a mask splits a 130-vertex ring, one bicomponent, at L=3 into
     # root blocks 0, 1-9, 10-47, 48-102 and 103-129; the fourth has 59 inner
@@ -695,7 +777,7 @@ def test_debug_records_per_size(caplog, monkeypatch):
     assert [r.getMessage() for r in caplog.records[-3:]] == [
         "1 bicomponents, 130 of 130 vertices, largest 130",
         "1 groups, 5 blocks, largest sign table 3481 bytes",
-        "unsigned series computed"]
+        "unsigned series computed; stacks per pass: 2"]
 
 
 def test_unsigned_series_reused_until_topology_changes(monkeypatch):

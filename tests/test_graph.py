@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cyclebalance.datasets import load_gahuku_gama
 from cyclebalance.engine import cycle_census
 from cyclebalance.graph import (GraphError, ParseError, SignedDigraph,
                                 complete_graph, load_edge_list,
@@ -353,3 +354,20 @@ def test_no_consumer_reads_the_edges_view():
     again = pickle.loads(pickle.dumps(g))
     assert "edges" not in vars(again)
     assert all((a == b).all() for a, b in zip(again.arcs, g.arcs))
+
+
+def test_pickled_graph_keeps_its_arrays_read_only():
+    # pool workers receive the graph pickled, with its views of the topology
+    g = load_gahuku_gama()
+    views = ("arcs", "csr", "_reverse_arcs", "bicomponents")
+    before = [getattr(g, name) for name in views]
+    again = pickle.loads(pickle.dumps(g))
+    for name, want in zip(views, before):
+        got = vars(again)[name]
+        if name == "_reverse_arcs":
+            got, want = (got,), (want,)
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert not a.flags.writeable, name
+            assert (a == b).all(), name
+    assert again.vertex_labels == g.vertex_labels

@@ -13,7 +13,7 @@ import cyclebalance
 from cyclebalance import engine, parallel
 from cyclebalance.engine import BalanceRow, BalanceTable, cycle_census
 from cyclebalance.graph import SignedDigraph, parse_edge_list
-from cyclebalance.nullmodel import (CorrelationFit, _shuffled_graph,
+from cyclebalance.nullmodel import (CorrelationFit, _shuffled_signs,
                                     default_fit_range, fit_correlation_length,
                                     model_ratio, null_band, null_ratio,
                                     shuffle_null)
@@ -63,14 +63,13 @@ def test_null_band_cases():
 
 
 def test_shuffle_preserves_negative_count(rng):
-    from cyclebalance.nullmodel import _shuffled_graph
-    import numpy as np
     for _ in range(20):
         g = random_signed_digraph(rng, max_vertices=9, edge_prob=0.4,
                                   undirected=rng.random() < 0.5)
         if g.edge_count == 0:
             continue
-        shuffled = _shuffled_graph(g, np.random.default_rng(rng.randint(0, 99)))
+        shuffled = g.with_signs(_shuffled_signs(
+            g, np.random.default_rng(rng.randint(0, 99))))
         assert sorted(shuffled.edges.values()) == sorted(g.edges.values())
         assert set(shuffled.edges) == set(g.edges)
         if g.from_undirected:
@@ -86,7 +85,8 @@ def test_shuffle_pinned_signs(undirected, before, after):
     graph with loops, pinned so that the sign draw cannot move."""
     g = random_signed_digraph(random.Random(11), vertices=7, edge_prob=0.4,
                               loop_prob=0.3, undirected=undirected)
-    shuffled = _shuffled_graph(g, np.random.default_rng([2, 0]))
+    shuffled = g.with_signs(
+        _shuffled_signs(g, np.random.default_rng([2, 0])))
 
     def signs(h):
         return "".join("+-"[s < 0] for _, s in sorted(h.edges.items()))
@@ -118,7 +118,8 @@ def test_shuffle_matches_slot_permutation_reference(rng):
                                   loop_prob=0.3, undirected=k % 3 == 0)
         if k % 3 == 2:
             g = with_opposite_reverses(g, rng)
-        shuffled = _shuffled_graph(g, np.random.default_rng([k, 1]))
+        shuffled = g.with_signs(
+            _shuffled_signs(g, np.random.default_rng([k, 1])))
         assert dict(shuffled.edges) == \
             _reference_shuffle(g, np.random.default_rng([k, 1]))
         assert shuffled.from_undirected is g.from_undirected
@@ -137,7 +138,8 @@ def test_shuffle_changes_only_the_sign_array(rng):
                                   loop_prob=0.3, undirected=undirected)
         cycle_census(g, 4)  # computes the views of the topology, but
         g.out_neighbours(0)  # the out-arc offsets
-        shuffled = _shuffled_graph(g, np.random.default_rng(3))
+        shuffled = g.with_signs(
+            _shuffled_signs(g, np.random.default_rng(3)))
         for view in ("out_offsets", "csr", "_reverse_arcs", "bicomponents"):
             assert vars(shuffled)[view] is vars(g)[view], view
         assert all((a == b).all() for a, b in zip(shuffled.arcs[:2],
@@ -166,6 +168,45 @@ def test_shuffle_null_identical_for_any_worker_count():
     assert one == two == three
     with pytest.raises(ValueError, match="workers must be >= 1"):
         shuffle_null(g, 4, 5, workers=0)
+
+
+@pytest.mark.parametrize("shuffles", [1, 7, 9, 15])
+def test_shuffle_null_counts_one_batch_per_call(shuffles, monkeypatch):
+    # with one worker, batches of at most the pass cap, each through
+    # nullmodel.cycle_census with (g, max_length) first, as a wrapper of
+    # that name sees them
+    calls = []
+
+    def census_spy(*args):
+        calls.append(args)
+        return cycle_census(*args)
+
+    monkeypatch.setattr(cyclebalance.nullmodel, "cycle_census", census_spy)
+    g = parse_edge_list("0 1 1\n1 2 -1\n2 0 1\n0 3 -1\n3 1 1\n3 2 -1",
+                        undirected=True)
+    got = shuffle_null(g, 4, shuffles, seed=6)
+    cap = engine._SIGNS_PER_PASS
+    assert len(calls) == -(-shuffles // cap)
+    assert all(args[:2] == (g, 4) for args in calls)
+    assert [len(args[2]) for args in calls] == \
+        [min(cap, shuffles - lo) for lo in range(0, shuffles, cap)]
+    # each shuffle drawn from its own stream, whatever its batch
+    signs = np.concatenate([args[2] for args in calls])
+    for k, row in enumerate(signs):
+        assert (row == _shuffled_signs(g, np.random.default_rng([6, k]))).all()
+    assert got.shuffles == shuffles
+
+
+@pytest.mark.parametrize("shuffles", [9, 15])
+def test_batched_shuffle_null_identical_for_any_worker_count(shuffles):
+    # one process splits the shuffles into passes of at most 7; two and
+    # three workers into even shares
+    g = parse_edge_list("0 1 1\n1 2 -1\n2 0 1\n0 3 -1\n3 1 1\n3 2 -1\n"
+                        "2 4 1\n4 0 -1", undirected=True)
+    one, two, three = (shuffle_null(g, 5, shuffles, seed=8, workers=w)
+                       for w in (1, 2, 3))
+    assert one == two == three
+    assert one.shuffles == shuffles
 
 
 def test_shuffle_null_rejects_short_max_length_before_the_pool(monkeypatch):
@@ -256,7 +297,8 @@ def test_shuffles_reusing_unsigned_series_equal_oracle(undirected):
     assert cycle_census(g, L) == brute_force_census(g, L)
     entry = engine._unsigned_entry
     for k in range(6):
-        shuffled = _shuffled_graph(g, np.random.default_rng([5, k]))
+        shuffled = g.with_signs(
+            _shuffled_signs(g, np.random.default_rng([5, k])))
         assert cycle_census(shuffled, L) == brute_force_census(shuffled, L)
         assert engine._unsigned_entry is entry
     # a changed topology misses the entry and replaces it
