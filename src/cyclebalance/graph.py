@@ -9,8 +9,8 @@ signs, sorted by (tail, head).  Views derived once: ``out_offsets``, where
 each vertex's out-arcs start; ``csr``, the loopless undirected adjacency
 (also ``subgraphs.pack``'s), whose indices[indptr[v]:indptr[v + 1]] are the
 neighbours of v, ascending; ``symmetric`` (A = A^T); ``bicomponents``.
-``with_signs`` shares the views of the topology.  ``edges``, a (tail, head)
--> sign mapping built when first read, is for tests and the benchmark.
+``edges``, a (tail, head) -> sign mapping built when first read, is for
+tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -214,15 +214,6 @@ class SignedDigraph:
         a = np.zeros((self.vertex_count,) * 2, dtype=dtype)
         a[self.arcs[:2]] = self.arcs[2]
         return a
-
-    def with_signs(self, signs: np.ndarray) -> "SignedDigraph":
-        """Sign signs[i] on arc i of ``arcs``; the topology's views shared."""
-        g = SignedDigraph.__new__(SignedDigraph)
-        vars(g).update((k, v) for k, v in vars(self).items() if k in
-                       ("out_offsets", "csr", "_reverse_arcs", "bicomponents"))
-        g.__init__(self.vertex_count, (*self.arcs[:2], signs),
-                   self.from_undirected, self.vertex_labels)
-        return g
 
     def without_self_loops(self) -> "SignedDigraph":
         """Graph on the same vertices with diagonal edges removed."""

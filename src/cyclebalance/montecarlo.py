@@ -22,13 +22,21 @@ sums, and the batch sums do not depend on how a batch is split.  Under
 censuses run in this process; otherwise the workers of the pool in
 ``parallel``, which is created on first use and lives until the
 interpreter exits, only count.
+
+No task's counts are kept once read.  Each batch holds two running sums
+per length whose quotient is its mean: negative cycles and all cycles
+under ``pooled``; under ``mean-of-ratios`` the sum of the defined sample
+ratios, added in sample order, and their number.  So the driver holds
+O(batches x max_length) numbers whatever the sample count.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,23 +147,6 @@ def _batch_row(length: int, means: Sequence[float]) -> BalanceRow:
     return balance_row(length, r, stderr=stderr)
 
 
-def _batch_ratio(agg: str, counts) -> list[float | None]:
-    """Per-length batch means under the configured aggregation, from a
-    batch's (positive, negative) counts: of each sample under
-    ``mean-of-ratios``, of runs of samples under ``pooled``."""
-    out: list[float | None] = []
-    for ell_idx in range(len(counts[0][0])):
-        pairs = [(pos[ell_idx], neg[ell_idx]) for pos, neg in counts]
-        if agg == "pooled":
-            neg = sum(n for _, n in pairs)
-            tot = sum(p for p, _ in pairs) + neg
-            out.append(None if tot == 0 else neg / tot)
-        else:
-            vals = [n / (p + n) for p, n in pairs if p + n > 0]
-            out.append(None if not vals else sum(vals) / len(vals))
-    return out
-
-
 def _runs(cfg: MonteCarloConfig, workers: int, first: int = 0
           ) -> list[tuple[int, int, int]]:
     """(batch, first sample, stop) of each run of samples ``first`` ..
@@ -168,74 +159,66 @@ def _runs(cfg: MonteCarloConfig, workers: int, first: int = 0
             for lo, hi in zip(cuts, cuts[1:])]
 
 
-class _Tally:
-    """Every batch's (positive, negative) counts so far, one pair per run
-    under pooled aggregation and per sample otherwise, with each batch's
-    means and the number of short samples."""
+def _rounds(g: SignedDigraph, cfg: MonteCarloConfig, workers: int,
+            progress: Callable[[int, dict], None] | None
+            ) -> Iterator[MonteCarloReport]:
+    """The report of each round: the first has ``cfg.samples_per_batch``
+    samples per batch, and each later round draws as many more.  Tasks are
+    read in batch order, so when a batch's last task of a round is read
+    every batch's running sums (module docstring) are whole, and
+    ``progress`` sees the rows of all batches with samples."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    L, pooled = cfg.max_length, cfg.aggregation == "pooled"
+    num = [[0] * cfg.batches for _ in range(L)]
+    den = [[0] * cfg.batches for _ in range(L)]
+    found = [0] * L
+    short = 0
 
-    def __init__(self, cfg: MonteCarloConfig):
-        self.counts: list[list] = [[] for _ in range(cfg.batches)]
-        self.means: list[list[float | None] | None] = [None] * cfg.batches
-        self.short = 0
+    def induced(b, sample):
+        nonlocal short
+        rng = _sample_rng(cfg.master_seed, b, sample)
+        vs, cut = sample_connected_vertex_set(g, rng, cfg.sample_size)
+        short += cut
+        return g.induced_subgraph(vs)[0]
 
-    def add(self, g: SignedDigraph, cfg: MonteCarloConfig, first: int,
-            workers: int, progress: Callable[[int, dict], None] | None
-            ) -> None:
-        """Draw samples ``first`` .. ``cfg.samples_per_batch`` - 1 of every
-        batch in this process and census them, in this process or on the
-        worker pool, calling ``progress`` as each batch completes."""
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        pooled = cfg.aggregation == "pooled"
+    def graphs(runs):
+        # drawn as the census reads them, not a batch at a time
+        for b, lo, hi in runs:
+            subs = (induced(b, sample) for sample in range(lo, hi))
+            yield from [disjoint_union(list(subs))] if pooled else subs
+
+    def rows():
+        return tuple(_batch_row(k + 1, [n / d for n, d in zip(num[k], den[k])
+                                        if d])
+                     for k in range(L))
+
+    first = 0
+    while True:
         runs = _runs(cfg, workers if pooled else 1, first)
-
-        def graphs():
+        tasks = sum(1 if pooled else hi - lo for _, lo, hi in runs)
+        # closed before the yield: no caller holds the pool between rounds
+        with closing(census_map(cycle_census, graphs(runs), tasks, L,
+                                workers)) as censuses:
             for b, lo, hi in runs:
-                subs = []
-                for sample in range(lo, hi):
-                    rng = _sample_rng(cfg.master_seed, b, sample)
-                    vs, short = sample_connected_vertex_set(
-                        g, rng, cfg.sample_size)
-                    self.short += short
-                    subs.append(g.induced_subgraph(vs)[0])
-                yield from [disjoint_union(subs)] if pooled else subs
-
-        owners = [b for b, lo, hi in runs
-                  for _ in range(1 if pooled else hi - lo)]
-        censuses = census_map(cycle_census, graphs(), len(owners),
-                              cfg.max_length, workers)
-        for i, (b, c) in enumerate(zip(owners, censuses)):
-            self.counts[b].append((c.positive, c.negative))
-            if i + 1 < len(owners) and owners[i + 1] == b:
-                continue
-            self.means[b] = _batch_ratio(cfg.aggregation, self.counts[b])
-            if progress is not None:
-                done = (cfg.batches * first
-                        + (b + 1) * (cfg.samples_per_batch - first))
-                progress(done, {r.length: r.stderr
-                                for r in self.rows(cfg.max_length)})
-
-    def rows(self, max_length: int) -> tuple[BalanceRow, ...]:
-        """Per length, the row from the defined means of the batches with
-        samples."""
-        means = [m for m in self.means if m is not None]
-        return tuple(_batch_row(k + 1, [m[k] for m in means
-                                        if m[k] is not None])
-                     for k in range(max_length))
-
-    def report(self, cfg: MonteCarloConfig) -> MonteCarloReport:
-        L = cfg.max_length
-        found = [0] * L
-        for pos, neg in (c for batch in self.counts for c in batch):
-            for k in range(L):
-                found[k] += pos[k] + neg[k]
-        return MonteCarloReport(
-            config=cfg,
-            rows=self.rows(L),
-            cycles_found=tuple(found),
-            short_samples=self.short,
-            total_samples=cfg.batches * cfg.samples_per_batch,
-        )
+                for c in islice(censuses, 1 if pooled else hi - lo):
+                    for k, (p, n) in enumerate(zip(c.positive, c.negative)):
+                        found[k] += p + n
+                        if pooled:
+                            num[k][b] += n
+                            den[k][b] += p + n
+                        elif p + n:
+                            num[k][b] += n / (p + n)
+                            den[k][b] += 1
+                if hi == cfg.samples_per_batch and progress is not None:
+                    progress(cfg.batches * first + (b + 1) * (hi - first),
+                             {r.length: r.stderr for r in rows()})
+        yield MonteCarloReport(
+            config=cfg, rows=rows(), cycles_found=tuple(found),
+            short_samples=short,
+            total_samples=cfg.batches * cfg.samples_per_batch)
+        first = cfg.samples_per_batch
+        cfg = replace(cfg, samples_per_batch=2 * first)
 
 
 def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
@@ -254,9 +237,7 @@ def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,
     serves later calls.  ``progress`` is called after each batch with the
     samples so far and each length's stderr.
     """
-    tally = _Tally(cfg)
-    tally.add(g, cfg, 0, workers, progress)
-    return tally.report(cfg)
+    return next(_rounds(g, cfg, workers, progress))
 
 
 def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
@@ -276,11 +257,7 @@ def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
     """
     if target <= 0:
         raise ValueError("target must be positive")
-    tally = _Tally(cfg)
-    first, current = 0, cfg
-    while True:
-        tally.add(g, current, first, workers, progress)
-        report = tally.report(current)
+    for report in _rounds(g, cfg, workers, progress):
         defined = [r for r in report.rows if r.ratio_negative is not None]
         pending = [r.length for r in defined
                    if r.stderr is None or r.stderr > target]
@@ -290,5 +267,3 @@ def convergence_loop(g: SignedDigraph, cfg: MonteCarloConfig, target: float,
             return replace(report,
                            converged_lengths=converged,
                            failed_lengths=tuple(pending))
-        first = current.samples_per_batch
-        current = replace(current, samples_per_batch=2 * first)

@@ -72,7 +72,7 @@ def _shuffled_signs(g: SignedDigraph, rng: np.random.Generator) -> np.ndarray:
 
     The slots are the arcs in (tail, head) order.  For an undirected graph
     they are the arcs (u, v) with u <= v, and each reverse arc (v, u) takes
-    the sign of its slot, so ``g.with_signs`` of the result is a valid
+    the sign of its slot, so g's arcs with the result as signs are a valid
     undirected network.
     """
     tails, heads, signs = g.arcs

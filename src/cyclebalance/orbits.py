@@ -49,8 +49,8 @@ __all__ = [
     "weighted_degree_of_balance",
 ]
 
-# Above this dimension dense powers of T are declared unsupported; the
-# orbit computation is meant for small and mid-sized networks.
+# Above this dimension dense powers of T, or of A for closed walks, are
+# declared unsupported; both are meant for small and mid-sized networks.
 DENSE_CAP = 4096
 # Above this vertex count the dense exponentials of the walk balance are
 # declared unsupported.
@@ -174,10 +174,14 @@ def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:
     A closed walk is positive or negative by the product of its signs, so
     Tr A^l and Tr |A|^l are the signed and unsigned sums of a census of
     closed walks.  Length 1 counts the self-loops; lengths >= 2 strip the
-    diagonal.  Lengths with no closed walks are undefined.
+    diagonal.  Lengths with no closed walks are undefined.  Graphs beyond
+    ``DENSE_CAP`` vertices are refused.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
+    if g.vertex_count > DENSE_CAP:
+        raise GraphError(f"graph has {g.vertex_count} vertices, above the "
+                         f"size cap {DENSE_CAP} for dense walk powers")
     a = g.adjacency()
     signed, unsigned = [int(np.trace(a))], [int(np.trace(np.abs(a)))]
     np.fill_diagonal(a, 0)

@@ -6,6 +6,7 @@ import pytest
 
 from cyclebalance.cli import build_parser, cli_main
 from cyclebalance.datasets import fixture_text
+from cyclebalance.orbits import DENSE_CAP
 
 TRIAD_TSV = fixture_text("triad.tsv")
 
@@ -187,6 +188,15 @@ def test_exit_code_data_error(tmp_path, capsys):
     p.write_text("0 1 1\n0 1 -1\n")
     code, _, err = run(capsys, "census", "--input", str(p))
     assert code == 2
+
+
+def test_walks_above_dense_cap_is_data_error(tmp_path, capsys):
+    p = tmp_path / "path.tsv"
+    p.write_text("".join(f"{v} {v + 1} 1\n" for v in range(DENSE_CAP)))
+    code, _, err = run(capsys, "walks", "--input", str(p),
+                       "--max-length", "3")
+    assert code == 2
+    assert f"{DENSE_CAP + 1} vertices, above the size cap" in err
 
 
 def test_non_utf8_input_is_data_error(tmp_path, capsys):

@@ -187,6 +187,22 @@ def test_convergence_loop_stays_within_cap():
 
 
 @pytest.mark.parametrize("aggregation", ["pooled", "mean-of-ratios"])
+def test_progress_snapshots_identical_for_any_worker_count(aggregation):
+    # three rounds; at 3 workers each pooled batch is split into runs, and
+    # a batch's mean enters a snapshot only once its round is complete
+    g = clustered_graph(42, 3, clusters=3, size=12)
+    cfg = MonteCarloConfig(3, 2, 8, 5, master_seed=6, aggregation=aggregation)
+    seen = {}
+    for workers in (1, 3):
+        seen[workers] = calls = []
+        convergence_loop(g, cfg, target=1e-9, cap=24, workers=workers,
+                         progress=lambda n, snap: calls.append((n, snap)))
+    assert [n for n, _ in seen[1]] == [3, 6, 9, 12, 18, 24]
+    assert any(v is not None for _, snap in seen[1] for v in snap.values())
+    assert seen[3] == seen[1]
+
+
+@pytest.mark.parametrize("aggregation", ["pooled", "mean-of-ratios"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_converged_report_equals_single_run(aggregation, workers):
     # rounds of 1, 2 and 4 samples per batch add only the new samples, so

@@ -62,14 +62,21 @@ def test_null_band_cases():
         null_band(0.5, 4, 0)
 
 
+def _shuffled(g, rng):
+    """The graph of one sign shuffle of g: g's arcs, the shuffled signs."""
+    signs = _shuffled_signs(g, rng)
+    return SignedDigraph(g.vertex_count, (*g.arcs[:2], signs),
+                         g.from_undirected)
+
+
 def test_shuffle_preserves_negative_count(rng):
     for _ in range(20):
         g = random_signed_digraph(rng, max_vertices=9, edge_prob=0.4,
                                   undirected=rng.random() < 0.5)
         if g.edge_count == 0:
             continue
-        shuffled = g.with_signs(_shuffled_signs(
-            g, np.random.default_rng(rng.randint(0, 99))))
+        shuffled = _shuffled(
+            g, np.random.default_rng(rng.randint(0, 99)))
         assert sorted(shuffled.edges.values()) == sorted(g.edges.values())
         assert set(shuffled.edges) == set(g.edges)
         if g.from_undirected:
@@ -85,8 +92,7 @@ def test_shuffle_pinned_signs(undirected, before, after):
     graph with loops, pinned so that the sign draw cannot move."""
     g = random_signed_digraph(random.Random(11), vertices=7, edge_prob=0.4,
                               loop_prob=0.3, undirected=undirected)
-    shuffled = g.with_signs(
-        _shuffled_signs(g, np.random.default_rng([2, 0])))
+    shuffled = _shuffled(g, np.random.default_rng([2, 0]))
 
     def signs(h):
         return "".join("+-"[s < 0] for _, s in sorted(h.edges.items()))
@@ -118,8 +124,7 @@ def test_shuffle_matches_slot_permutation_reference(rng):
                                   loop_prob=0.3, undirected=k % 3 == 0)
         if k % 3 == 2:
             g = with_opposite_reverses(g, rng)
-        shuffled = g.with_signs(
-            _shuffled_signs(g, np.random.default_rng([k, 1])))
+        shuffled = _shuffled(g, np.random.default_rng([k, 1]))
         assert dict(shuffled.edges) == \
             _reference_shuffle(g, np.random.default_rng([k, 1]))
         assert shuffled.from_undirected is g.from_undirected
@@ -130,20 +135,6 @@ def test_shuffle_matches_slot_permutation_reference(rng):
         kinds["opposite" if opposite else
               "undirected" if g.from_undirected else "directed"] += 1
     assert min(kinds.values()) >= 10
-
-
-def test_shuffle_changes_only_the_sign_array(rng):
-    for undirected in (False, True):
-        g = random_signed_digraph(rng, vertices=9, edge_prob=0.5,
-                                  loop_prob=0.3, undirected=undirected)
-        cycle_census(g, 4)  # computes the views of the topology, but
-        g.out_neighbours(0)  # the out-arc offsets
-        shuffled = g.with_signs(
-            _shuffled_signs(g, np.random.default_rng(3)))
-        for view in ("out_offsets", "csr", "_reverse_arcs", "bicomponents"):
-            assert vars(shuffled)[view] is vars(g)[view], view
-        assert all((a == b).all() for a, b in zip(shuffled.arcs[:2],
-                                                  g.arcs[:2]))
 
 
 def test_shuffle_all_positive_is_identity():
@@ -297,8 +288,7 @@ def test_shuffles_reusing_unsigned_series_equal_oracle(undirected):
     assert cycle_census(g, L) == brute_force_census(g, L)
     entry = engine._unsigned_entry
     for k in range(6):
-        shuffled = g.with_signs(
-            _shuffled_signs(g, np.random.default_rng([5, k])))
+        shuffled = _shuffled(g, np.random.default_rng([5, k]))
         assert cycle_census(shuffled, L) == brute_force_census(shuffled, L)
         assert engine._unsigned_entry is entry
     # a changed topology misses the entry and replaces it

@@ -291,6 +291,21 @@ def test_orbits_refuse_hashimoto_above_dense_cap(monkeypatch):
     assert primitive_orbit_counts(TRIANGLE, 3).n_pos(3) == 2
 
 
+def test_walk_ratios_refuse_graphs_above_dense_cap(monkeypatch):
+    n = orbits.DENSE_CAP + 1
+    path = SignedDigraph(n, (np.arange(n - 1), np.arange(1, n),
+                             np.ones(n - 1, np.int8)))
+    dense = []
+    monkeypatch.setattr(SignedDigraph, "adjacency",
+                        lambda *args, **kwargs: dense.append(args))
+    with pytest.raises(GraphError, match=f"size cap {orbits.DENSE_CAP}"):
+        walk_ratios(path, 3)
+    assert dense == []  # refused before the dense matrix
+    monkeypatch.undo()
+    monkeypatch.setattr(orbits, "DENSE_CAP", 3)  # a graph at the cap counts
+    assert walk_ratios(TRIAD, 3)[2].ratio_negative == 1.0
+
+
 def test_weighted_degree_dense_720_vertices_is_finite():
     # the spectral radius 719 overflows an unshifted exponential series
     r = random.Random(1)
