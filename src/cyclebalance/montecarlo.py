@@ -12,22 +12,23 @@ sample) alone, so results are bit-identical for a given configuration
 regardless of worker count or scheduling, and the convergence loop's
 rounds extend the batches they kept instead of drawing them again.
 
-This process draws every sample and builds each task's graph; a task is
-one graph and its census.  Under ``pooled`` aggregation the graph is a run
-of consecutive samples of one batch laid side by side: one run per batch,
-or, with fewer batches than workers, enough runs that no worker sits idle.
-Its cycles are those of the samples, so its counts are their exact integer
-sums, and the batch sums do not depend on how a batch is split.  Under
-``mean-of-ratios`` each sample is a task of its own.  With one worker the
-censuses run in this process; otherwise the workers of the pool in
-``parallel``, which is created on first use and lives until the
+Each round's new samples of a batch are cut into runs of at most ``_RUN``
+consecutive samples, the same runs for every worker count.  This process
+draws every sample and builds the one graph that each task counts: under
+``pooled`` aggregation a run's samples laid side by side, whose counts are
+the exact integer sums of theirs, so the batch sums do not depend on how
+a batch is split; under ``mean-of-ratios`` one sample.  With
+one worker the censuses run in this process; otherwise the workers of the
+pool in ``parallel``, created on first use and living until the
 interpreter exits, only count.
 
 No task's counts are kept once read.  Each batch holds two running sums
 per length whose quotient is its mean: negative cycles and all cycles
 under ``pooled``; under ``mean-of-ratios`` the sum of the defined sample
 ratios, added in sample order, and their number.  So the driver holds
-O(batches x max_length) numbers whatever the sample count.
+O(batches x max_length) sums, plus the tasks ``parallel`` has submitted
+and not yet read: at most 2 x workers + 1, of at most ``_RUN`` samples
+each, whatever the sample count.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 AGGREGATIONS = ("pooled", "mean-of-ratios")
+# the most samples of one batch in one pooled task
+_RUN = 16
 
 
 @dataclass(frozen=True)
@@ -94,12 +97,6 @@ class MonteCarloReport:
     converged_lengths: tuple[int, ...] = ()
     failed_lengths: tuple[int, ...] = ()
     total_samples: int = 0
-
-    def row(self, length: int) -> BalanceRow:
-        for r in self.rows:
-            if r.length == length:
-                return r
-        raise KeyError(length)
 
 
 def sample_connected_vertex_set(g: SignedDigraph, rng: np.random.Generator,
@@ -147,18 +144,6 @@ def _batch_row(length: int, means: Sequence[float]) -> BalanceRow:
     return balance_row(length, r, stderr=stderr)
 
 
-def _runs(cfg: MonteCarloConfig, workers: int, first: int = 0
-          ) -> list[tuple[int, int, int]]:
-    """(batch, first sample, stop) of each run of samples ``first`` ..
-    ``samples_per_batch`` - 1: every batch is split into the same number
-    of runs, as few as keep ``workers`` busy."""
-    k = cfg.samples_per_batch - first
-    pieces = min(k, -(-workers // cfg.batches))
-    cuts = [first + k * i // pieces for i in range(pieces + 1)]
-    return [(b, lo, hi) for b in range(cfg.batches)
-            for lo, hi in zip(cuts, cuts[1:])]
-
-
 def _rounds(g: SignedDigraph, cfg: MonteCarloConfig, workers: int,
             progress: Callable[[int, dict], None] | None
             ) -> Iterator[MonteCarloReport]:
@@ -195,8 +180,10 @@ def _rounds(g: SignedDigraph, cfg: MonteCarloConfig, workers: int,
 
     first = 0
     while True:
-        runs = _runs(cfg, workers if pooled else 1, first)
-        tasks = sum(1 if pooled else hi - lo for _, lo, hi in runs)
+        end = cfg.samples_per_batch
+        runs = [(b, lo, min(lo + _RUN, end))
+                for b in range(cfg.batches) for lo in range(first, end, _RUN)]
+        tasks = len(runs) if pooled else cfg.batches * (end - first)
         # closed before the yield: no caller holds the pool between rounds
         with closing(census_map(cycle_census, graphs(runs), tasks, L,
                                 workers)) as censuses:
@@ -210,15 +197,15 @@ def _rounds(g: SignedDigraph, cfg: MonteCarloConfig, workers: int,
                         elif p + n:
                             num[k][b] += n / (p + n)
                             den[k][b] += 1
-                if hi == cfg.samples_per_batch and progress is not None:
+                if hi == end and progress is not None:
                     progress(cfg.batches * first + (b + 1) * (hi - first),
                              {r.length: r.stderr for r in rows()})
         yield MonteCarloReport(
             config=cfg, rows=rows(), cycles_found=tuple(found),
             short_samples=short,
             total_samples=cfg.batches * cfg.samples_per_batch)
-        first = cfg.samples_per_batch
-        cfg = replace(cfg, samples_per_batch=2 * first)
+        first = end
+        cfg = replace(cfg, samples_per_batch=2 * end)
 
 
 def run_monte_carlo(g: SignedDigraph, cfg: MonteCarloConfig, *,

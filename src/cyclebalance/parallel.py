@@ -8,13 +8,16 @@ other call is reading from it, and joined by the exit hook of
 estimate and the shuffle null share it.
 
 A task is one graph and any further arguments of its census, pickled to a
-worker, which only counts it.  A call submits its tasks as it draws them,
-so drawing in this process overlaps counting in the workers.  Workers live
-across tasks and calls, so each keeps the engine's reusable unsigned
-series of the last topology it counted.  They also keep the rest of this
-process's state as it was when the pool started them: logging set up or
-module globals patched later are not seen by them.  While the pool lives,
-this process keeps the executor's manager and queue feeder threads.
+worker, which only counts it.  A call on a pool of ``size`` processes keeps
+at most 2 x size + 1 tasks submitted and unread, drawing the next as it
+reads a result: drawing here overlaps counting in the workers, and memory
+does not grow with the task count.  Closing the call's iterator, or an
+error, cancels its tasks not yet started.  Workers live across tasks and
+calls, so each keeps the engine's reusable unsigned series of the last
+topology it counted.  They also keep the rest of this process's state as
+it was when the pool started them: logging set up or module globals
+patched later are not seen by them.  While the pool lives, this process
+keeps the executor's manager and queue feeder threads.
 
 Calls may come from several threads, or nest (a ``progress`` callback
 that runs another estimate).  A call that asks for a different size
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import atexit
 import threading
-from itertools import repeat
+from collections import deque
 from typing import Callable, Iterable, Iterator
 
 from .engine import CycleCensus
@@ -97,9 +100,11 @@ def census_map(census: Callable[..., CycleCensus],
     With min(workers, tasks) <= 1 every census is called here with exactly
     those positional arguments, through the ``census`` the caller passes,
     so that a wrapper installed on the caller's module sees each call;
-    otherwise pool workers count them.  A census that raises raises here,
-    and the tasks not yet read are cancelled.  Callers check that
-    ``workers`` >= 1.
+    otherwise pool workers count them, drawing a graph as a result is read
+    and holding at most 2 x min(workers, tasks) + 1 unread tasks.  A
+    census that raises raises here, and the tasks not yet started are
+    cancelled, as they are when the iterator is closed.  Callers check
+    that ``workers`` >= 1.
     """
     size = min(workers, tasks)
     if size <= 1:
@@ -113,10 +118,18 @@ def _pooled(size: int, census, graphs, max_length: int, extra):
 
     pool = _acquire(size)
     broken = False
+    window = deque()
     try:
-        yield from pool.map(census, graphs, repeat(max_length), *extra)
+        for g, *more in zip(graphs, *extra):
+            window.append(pool.submit(census, g, max_length, *more))
+            if len(window) > 2 * size:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
     except BrokenProcessPool:
         broken = True
         raise
     finally:
+        for future in window:
+            future.cancel()
         _release(pool, broken)

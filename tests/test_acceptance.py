@@ -339,7 +339,7 @@ def test_criterion_8_monte_carlo_calibration():
 
     misses = []
     for ell in range(2, 9):
-        row = base.row(ell)
+        row = base.rows[ell - 1]
         tot = exact.total(ell)
         if (row.ratio_negative is None or tot == 0
                 or base.cycles_found[ell - 1] < 50):
@@ -350,7 +350,7 @@ def test_criterion_8_monte_carlo_calibration():
             misses.append(ell)
     ratios = []
     for ell in range(3, 9):
-        a, b = base.row(ell), doubled.row(ell)
+        a, b = base.rows[ell - 1], doubled.rows[ell - 1]
         if (a.stderr and b.stderr and base.cycles_found[ell - 1] >= 50
                 and doubled.cycles_found[ell - 1] >= 50):
             ratios.append(b.stderr / a.stderr)

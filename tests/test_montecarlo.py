@@ -12,7 +12,8 @@ import pytest
 
 from cyclebalance import montecarlo, parallel
 from cyclebalance.engine import balance_row, cycle_census, mean_and_2sigma
-from cyclebalance.graph import SignedDigraph, complete_graph, parse_edge_list
+from cyclebalance.graph import (SignedDigraph, complete_graph,
+                               disjoint_union, parse_edge_list)
 from cyclebalance.montecarlo import (MonteCarloConfig, convergence_loop,
                                      run_monte_carlo,
                                      sample_connected_vertex_set)
@@ -114,9 +115,9 @@ def test_full_coverage_equals_exact():
     cfg = MonteCarloConfig(5, 2, 3, 3, master_seed=3)
     rep = run_monte_carlo(TRIAD, cfg)
     exact = cycle_census(TRIAD, 3)
-    assert rep.row(2).ratio_negative == 0.0
-    assert rep.row(2).stderr == 0.0
-    assert rep.row(3).ratio_negative == exact.n_neg(3) / exact.total(3) == 1.0
+    assert rep.rows[1].ratio_negative == 0.0
+    assert rep.rows[1].stderr == 0.0
+    assert rep.rows[2].ratio_negative == exact.n_neg(3) / exact.total(3) == 1.0
 
 
 def test_all_positive_zero_variance():
@@ -124,15 +125,15 @@ def test_all_positive_zero_variance():
     cfg = MonteCarloConfig(4, 3, 4, 4, master_seed=5)
     rep = run_monte_carlo(g, cfg)
     for ell in (2, 3, 4):
-        assert rep.row(ell).ratio_negative == 0.0
-        assert rep.row(ell).stderr == 0.0
+        assert rep.rows[ell - 1].ratio_negative == 0.0
+        assert rep.rows[ell - 1].stderr == 0.0
 
 
 def test_unobserved_lengths_undefined():
     cfg = MonteCarloConfig(3, 2, 3, 3, master_seed=1)
     g = parse_edge_list("0 1 1\n1 0 1\n1 2 1\n2 1 1")  # path: no 3-cycles
     rep = run_monte_carlo(g, cfg)
-    assert rep.row(3).ratio_negative is None
+    assert rep.rows[2].ratio_negative is None
     assert rep.cycles_found[2] == 0
 
 
@@ -142,7 +143,7 @@ def test_aggregation_modes_differ_sensibly():
     pooled = run_monte_carlo(g, MonteCarloConfig(8, 3, 3, 3, 7, "pooled"))
     mean = run_monte_carlo(g, MonteCarloConfig(8, 3, 3, 3, 7, "mean-of-ratios"))
     for rep in (pooled, mean):
-        r = rep.row(3).ratio_negative
+        r = rep.rows[2].ratio_negative
         if r is not None:
             assert 0.0 <= r <= 1.0
 
@@ -273,17 +274,18 @@ def _pooled_reference(g, cfg):
 
 
 def test_pooled_batches_equal_summed_sample_censuses():
-    # a batch is one census of its samples side by side, split into runs
-    # when batches are fewer than workers: 2, 2, 4 and 6 tasks here
+    # a pooled task is one census of a run's samples side by side: one run
+    # per batch at 5 samples, 2 tasks; three per batch at 2 x _RUN + 1, 6
     g = clustered_graph(42, 3, clusters=3, size=12)
-    cfg = MonteCarloConfig(5, 2, 9, 6, master_seed=8)
-    want_rows, want_found = _pooled_reference(g, cfg)
-    for workers in (1, 2, 3, 5):
-        rep = run_monte_carlo(g, cfg, workers=workers)
-        assert rep.rows == want_rows, workers
-        assert rep.cycles_found == want_found, workers
-        assert rep.total_samples == 10
-    assert sum(want_found[2:]) > 0
+    for samples in (5, 2 * montecarlo._RUN + 1):
+        cfg = MonteCarloConfig(samples, 2, 9, 6, master_seed=8)
+        want_rows, want_found = _pooled_reference(g, cfg)
+        for workers in (1, 2, 3, 5):
+            rep = run_monte_carlo(g, cfg, workers=workers)
+            assert rep.rows == want_rows, (samples, workers)
+            assert rep.cycles_found == want_found, (samples, workers)
+            assert rep.total_samples == 2 * samples
+        assert sum(want_found[2:]) > 0
 
 
 def _worker_pids() -> set[int]:
@@ -329,7 +331,7 @@ def test_nested_call_of_another_size_shares_pool():
     # the live pool instead of shutting it down under the outer call
     g = clustered_graph(42, 3, clusters=3, size=12)
     cfg = MonteCarloConfig(2, 2, 6, 4, master_seed=1)
-    inner_cfg = MonteCarloConfig(3, 2, 4, 4, master_seed=5)
+    inner_cfg = MonteCarloConfig(3, 3, 4, 4, master_seed=5)
     want = run_monte_carlo(g, inner_cfg), shuffle_null(g, 4, 3, seed=1)
     seen = []
 
@@ -383,15 +385,52 @@ def test_broken_pool_is_replaced():
                                                                      cfg)
 
 
-def test_fewer_batches_than_workers_split_into_runs():
-    cfg = MonteCarloConfig(5, 2, 3, 3)
-    assert montecarlo._runs(cfg, 1) == [(0, 0, 5), (1, 0, 5)]
-    for workers, tasks in [(2, 2), (3, 4), (5, 6), (64, 10)]:
-        runs = montecarlo._runs(cfg, workers)
-        assert len(runs) == tasks
-        # every sample of every batch once, in order
-        assert [(b, s) for b, lo, hi in runs for s in range(lo, hi)] == \
-            [(b, s) for b in range(2) for s in range(5)]
+def test_runs_identical_for_any_worker_count(monkeypatch):
+    # each batch's samples are cut into runs of at most _RUN, whatever the
+    # worker count: one union per run, built in batch order
+    run = montecarlo._RUN
+    cfg = MonteCarloConfig(2 * run + 1, 2, 3, 3)
+    drawn, unions = [], []
+    sample_rng, union = montecarlo._sample_rng, montecarlo.disjoint_union
+
+    def spy_rng(seed, b, sample):
+        drawn.append((b, sample))
+        return sample_rng(seed, b, sample)
+
+    def spy_union(graphs):
+        assert len(graphs) == len(drawn)
+        unions.append((drawn[0][0], drawn[0][1], drawn[-1][1] + 1))
+        drawn.clear()
+        return union(graphs)
+
+    monkeypatch.setattr(montecarlo, "_sample_rng", spy_rng)
+    monkeypatch.setattr(montecarlo, "disjoint_union", spy_union)
+    want = [(b, lo, min(lo + run, 2 * run + 1))
+            for b in range(2) for lo in (0, run, 2 * run)]
+    one = run_monte_carlo(TRIAD, cfg)
+    assert unions == want
+    unions.clear()
+    assert run_monte_carlo(TRIAD, cfg, workers=3) == one
+    assert unions == want
+
+
+def test_pool_draws_tasks_as_results_are_read():
+    drawn = 0
+
+    def graphs():
+        nonlocal drawn
+        for _ in range(40):
+            drawn += 1
+            yield TRIAD
+
+    censuses = parallel.census_map(cycle_census, graphs(), 40, 3, 2)
+    assert next(censuses) == cycle_census(TRIAD, 3)
+    # at most 2 x size + 1 tasks are submitted before the first read
+    assert drawn <= 5
+    censuses.close()
+    assert drawn < 40 and parallel._READERS == 0
+    assert list(parallel.census_map(cycle_census, [TRIAD] * 3, 3, 3, 2)) \
+        == [cycle_census(TRIAD, 3)] * 3
 
 
 _SPAWN_SCRIPT = """
