@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 AGGREGATIONS = ("pooled", "mean-of-ratios")
-# the most samples of one batch in one pooled task
-_RUN = 16
+# samples of one batch per pooled task at most; runs of 16 ran ~5 % slower
+_RUN = 128
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class MonteCarloConfig:
 @dataclass(frozen=True)
 class MonteCarloReport:
     config: MonteCarloConfig
-    # per length, R is the mean of the defined batch means and stderr twice
-    # their standard deviation over sqrt(their number); no counts
+    # rows[l - 1] is length l's: R the mean of the defined batch means,
+    # stderr twice their standard deviation over sqrt(their number); no counts
     rows: tuple[BalanceRow, ...]
     cycles_found: tuple[int, ...]  # index l-1 -> cycles over all samples
     short_samples: int             # samples truncated by a small component
