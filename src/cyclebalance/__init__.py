@@ -8,7 +8,6 @@ from .montecarlo import (MonteCarloConfig, MonteCarloReport, convergence_loop,
 from .nullmodel import fit_correlation_length, null_band, null_ratio, shuffle_null
 from .oracle import brute_force_census, complete_graph_census, enumerate_simple_cycles
 from .orbits import (hashimoto_matrix, mobius, primitive_orbit_counts,
-                     stark_terras_orbit_walks, walk_ratios,
-                     weighted_degree_of_balance)
+                     walk_ratios, weighted_degree_of_balance)
 
 __version__ = "0.1.0"

@@ -55,9 +55,9 @@ arithmetic is exact while the bound is below 2^24, float64 while it is
 below 2^53, int64 while it is below 2^62, and object (Python int)
 arithmetic always.  Each array is computed in the cheapest of these that
 its bound allows, and is only ever cast up that ladder, save that a sum
-whose own bound is below 2^62 is taken in int64 from object values (see
-"Slices and sums"): a float array is widened to int64 before object, so an
-object array never holds floats.
+across subgraphs whose own bound is below 2^62 is taken in int64 even from
+object values (see "Slices and sums"): a float array is widened to int64
+before object, so an object array never holds floats.
 
 Traces along the ESU tree.  Each subgraph H is its parent P, H without its
 last vertex w, plus w: A_H = [[A_P, c], [u, a]].  Its traces are the
@@ -73,7 +73,9 @@ half length, x_b = A_P^b c and y_a = u A_P^a, as g_(a+b+2) = y_a x_b; when
 every sign vector of the pass signs each arc as its reverse (for g's own
 signs, ``SignedDigraph.symmetric``), every A_H is symmetric and y_a = x_a.
 So a subgraph costs ceil((L-2)/2) matrix-vector products per chain and an
-O(L^2) recursion, vectorised over the slice.
+O(L^2) recursion, vectorised over the slice, which runs along the last
+axis so that each product loops over it.  The degrees that share a dtype
+form a run, which casts g, D and each chain it reads once.
 Bound: the entries of x_b and y_a, g_m, and every term and partial sum of
 the recursion at degree l are sub-sums of the matching unsigned walk
 counts, and those of D_l sum to Tr |A_H|^l - Tr |A_P|^l <= h r^l, so the
@@ -111,10 +113,19 @@ without children, are traced and summed but never stored.  The traces at
 degrees h..top are summed per (h, |N(H)|) as exact integers across slices
 and blocks, and the binomials, which vanish beyond degree h + |N(H)|, are
 applied once at the end, so neither block nor class order changes a count.
-A slice's k traces at degree l sum to at most k h r^l in magnitude, so
-the degrees where that stays below 2^62 are summed in at most int64, and
-only the rest in Python ints.  Its largest row sum r is summed in int8
-while h < 128: a row of h entries of magnitude at most 1 sums to at most h.
+A slice's k traces at degree l, and every partial sum of them in any
+order, are at most k h r^l in magnitude.  A class sums them in one int64
+accumulator per (degree, stack, |N(H)|) and keeps, per degree l, R_l: the
+sum of k h r^l over the slices added since l was last flushed, that is,
+added to the Python-int sums and zeroed with R_l.  A slice whose
+R_l + k h r^l would reach 2^62 flushes degree l before it adds, and the
+class flushes every degree when it ends.  Proof: an entry at degree l,
+and every partial sum formed while a slice is added to it, sums a subset
+of the traces of the slices counted in R_l + k h r^l < 2^62, so int64 is
+exact; after a flush, one slice always fits.  A degree whose k h r^l
+alone reaches 2^62 is summed in Python ints.  The largest row sum r is
+summed in int8 while h < 128: a row of h entries of magnitude at most 1
+sums to at most h.
 
 ``_power_traces`` takes exact traces of the powers of any stack of integer
 matrices, with r the largest row sum of |A| over the stack: A^1..A^m, m =
@@ -144,9 +155,11 @@ in one pass, each adding only its signed stack.  The table and the kept
 matrices hold one int8 code per entry: bit 0 is the arc, and bit w + 1 is
 set where vector w signs it -1.  So a pass takes at most
 ``_SIGNS_PER_PASS`` = 7 vectors; more take several passes, reusing the
-unsigned series as above.  A slice decodes |A_H| = code & 1 and vector
-w's A_H = |A_H| - (code >> w & 2); only the kept traces and the slice
-temporaries grow with K.  A plain census is the pass of g's own signs.
+unsigned series as above.  A slice transposes its int8 codes once, so the
+stack runs along the last axis, and decodes |A_H| = code & 1 and vector
+w's A_H = |A_H| - (code >> w & 2) straight into the walk's first dtype;
+only the kept traces and the slice temporaries grow with K.  A plain
+census is the pass of g's own signs.
 
 Each census logs one DEBUG record per subgraph size on the
 ``cyclebalance.engine`` logger: subgraphs, cyclic subgraphs, slices and the
@@ -158,6 +171,7 @@ unsigned series was computed or reused, and the stacks traced, per pass.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -378,18 +392,18 @@ def _power_traces(mats: np.ndarray, lo: int, hi: int):
 
 def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
                  symmetric: bool) -> np.ndarray:
-    """Tr A_H^l for l = h..max_length over a stack (k, h, h) of integer
-    matrices A_H, from the traces ``up`` (max_length - h + 1, k) of their
-    leading blocks A_P, without the last row and column, at those degrees.
+    """Tr A_H^l for l = h..max_length over a stack of k integer matrices
+    A_H, laid out (h, h, k) with the stack last and held in the dtype that
+    the bound h r allows, from the traces ``up`` (max_length - h + 1, k) of
+    their leading blocks A_P, without the last row and column, at those
+    degrees.
 
     Each parent's traces are extended by the closed walks through the last
     vertex (module docstring), every value in the dtype its bound h r^l
     allows; r is at least the largest row sum of |A_H| over the stack.
     The result is shaped like ``up``.  ``symmetric`` says every A_H is.
     """
-    h = mats.shape[1]
-    # the stack runs along the last axis, so each product loops over it
-    mats = np.moveaxis(mats, 0, -1).astype(_exact_dtype(h * r), order="C")
+    h = len(mats)
     a_p = mats[:-1, :-1]
     # x_b = A_P^b c and y_a = u A_P^a: their entries count walks of b + 1
     # and a + 1 steps into and out of the new vertex
@@ -403,19 +417,30 @@ def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
     if symmetric:  # then y_a = x_a
         ys = xs
     # g_m: first-return walks at the new vertex; d_l: closed walks through it
-    g = np.zeros((max_length + 1, mats.shape[2]), _LADDER[0])
+    g = np.zeros((max_length + 1, mats.shape[2]), mats.dtype)
     d = np.zeros_like(g)
     g[1] = mats[-1, -1]
-    for ell in range(1, max_length + 1):
-        dtype = _exact_dtype(h * r**ell)
+    # the degrees that share a dtype form a run, which casts g, d and each
+    # chain it reads once, in place, as a later run is wider still:
+    # g_l = y_a x_b, a = (l - 2) // 2 and b = (l - 1) // 2
+    for dtype, run in itertools.groupby(range(1, max_length + 1),
+                                        lambda ell: _exact_dtype(h * r**ell)):
+        run = list(run)
         g, d = _widen(g, dtype), _widen(d, dtype)
-        if ell >= 2:
-            a = (ell - 2) // 2
-            g[ell] = np.einsum("ik,ik->k", _widen(ys[a], dtype),
-                               _widen(xs[ell - 2 - a], dtype))
-        # d_0 = l makes the sum's last term l g_l
-        d[0] = ell
-        d[ell] = np.einsum("mk,mk->k", g[1:ell + 1], d[ell - 1::-1])
+        at_y = {(ell - 2) // 2 for ell in run if ell > 1}
+        at_x = {(ell - 1) // 2 for ell in run if ell > 1}
+        if symmetric:  # ys is xs
+            at_x, at_y = at_x | at_y, ()
+        for chains, at in (xs, at_x), (ys, at_y):
+            for i in at:
+                chains[i] = _widen(chains[i], dtype)
+        for ell in run:
+            if ell > 1:
+                np.einsum("ik,ik->k", ys[(ell - 2) // 2], xs[(ell - 1) // 2],
+                          out=g[ell])
+            # d_0 = l makes the sum's last term l g_l
+            d[0] = ell
+            np.einsum("mk,mk->k", g[1:ell + 1], d[ell - 1::-1], out=d[ell])
     dtype = _wider(up.dtype, d.dtype)
     return _widen(up, dtype) + _widen(d[h:], dtype)
 
@@ -431,27 +456,35 @@ def _row_sum_bound(absolute: np.ndarray) -> int:
                .max(initial=0))
 
 
-def _run_sums(t: np.ndarray, runs: np.ndarray, h: int, r: int) -> np.ndarray:
-    """Python-int sums of the traces t (degrees h.., stacks, k) of k
-    subgraphs of size h over runs of columns, each from an index of
-    ``runs`` to the next.
+def _add_sums(sums: np.ndarray, acc: np.ndarray, reach: list, t: np.ndarray,
+              counts: np.ndarray, h: int, r: int) -> None:
+    """Add the traces t (degrees h.., stacks, k) of k subgraphs of size h,
+    whose |N(H)| ``counts`` come in runs of equal values, to the exact
+    sums of their size class, Python ints ``sums`` and the int64 ``acc``,
+    both indexed by (l - h, stack, |N(H)|).
 
-    Degree l sums values bounded by h r^l, r at least the largest row sum
-    (module docstring), so the degrees whose bound k h r^l is below 2^62
-    are summed in the cheapest exact dtype up to int64, and only the rest
-    in Python ints.
+    ``reach[l - h]`` bounds the magnitude of every partial sum of ``acc`` at
+    degree l: the sum of the bounds k h r^l of the slices it took since it
+    was last flushed into ``sums`` (module docstring, "Slices and sums").
     """
     k = t.shape[-1]
-    cut = 0
-    while cut < len(t) and k * h * r**(h + cut) < _INT64_EXACT:
-        cut += 1
-    # the bound of the last of them holds for them all
-    exact = _exact_dtype(k * h * r**(h + cut - 1))
-    low = (t[:cut].astype(np.int64) if t.dtype == object
-           else _widen(t[:cut], _wider(t.dtype, exact)))
-    return np.concatenate([
-        _widen(np.add.reduceat(low, runs, axis=2), np.dtype(object)),
-        np.add.reduceat(_widen(t[cut:], np.dtype(object)), runs, axis=2)])
+    # runs of equal |N(H)| share their binomials; a count can head several
+    runs = np.flatnonzero(np.concatenate(([True],
+                                          counts[1:] != counts[:-1])))
+    at = counts[runs]
+    bound = [k * h * r**ell for ell in range(h, h + len(t))]
+    # the degrees whose slice bound stays below 2^62 are summed in int64
+    cut = sum(b < _INT64_EXACT for b in bound)
+    for j in range(cut):
+        if reach[j] + bound[j] >= _INT64_EXACT:
+            sums[j] += acc[j].astype(object)
+            acc[j] = reach[j] = 0
+        reach[j] += bound[j]
+    np.add.at(acc, (slice(cut), slice(None), at), np.add.reduceat(
+        t[:cut], runs, axis=2, dtype=np.int64))
+    if cut < len(t):
+        np.add.at(sums, (slice(cut, None), slice(None), at), np.add.reduceat(
+            _widen(t[cut:], np.dtype(object)), runs, axis=2))
 
 
 def _short_cycles(g: SignedDigraph, signs: np.ndarray) -> list[list[int]]:
@@ -504,10 +537,9 @@ def _census(g: SignedDigraph, max_length: int, batch: np.ndarray):
               and np.array_equal(entry[2], heads))
     # the stacks traced: one per sign vector, then unsigned unless reused
     n_out = len(batch) + 1 - reused
-    # each arc's code (module docstring), and the shift of bit w + 1 to 1
+    # each arc's code (module docstring)
     codes = (1 + ((batch < 0) << np.arange(1, len(batch) + 1)[:, None]).sum(
         axis=0)).astype(np.uint8).view(np.int8)
-    shifts = np.arange(len(batch), dtype=np.int8)[:, None, None, None]
     rev = g._reverse_arcs  # every A_H is symmetric if every vector is
     symmetric = bool((rev >= 0).all() and (batch[:, rev] == batch).all())
     # cycles of length >= 3 are counted on the bicomponents side by side;
@@ -570,6 +602,9 @@ def _census(g: SignedDigraph, max_length: int, batch: np.ndarray):
         if grow > 0:
             sums[h] = np.concatenate([sums[h], np.zeros(
                 sums[h].shape[:2] + (grow,), dtype=object)], axis=2)
+        # the class's int64 sums and each degree's running bound R_l
+        acc = np.zeros(sums[h].shape, np.int64)
+        reach = [0] * (top - h + 1)
         stats = tally[h]
         stats[0] += k
         stats[2] += -(-k // step)
@@ -602,27 +637,30 @@ def _census(g: SignedDigraph, max_length: int, batch: np.ndarray):
             cyclic[at + forks:filled] = False
             if not len(live):
                 continue
-            live_sub = sub[live]
-            absolute = live_sub & 1
-            r = _row_sum_bound(absolute)
-            # stack w: -1 where bit w + 1 is set, else the arc bit
-            stacks = absolute - ((live_sub >> shifts) & 2)
+            # the codes with the stack last, as the walk reads them
+            code = np.ascontiguousarray(sub.take(live, 0).transpose(1, 2, 0))
+            absolute = code & 1
+            r = _row_sum_bound(absolute.transpose(2, 0, 1))
+            # decoded into the walk's first dtype: stack w is -1 where bit
+            # w + 1 is set, else the arc bit; the unsigned stack is last
+            walk = np.empty((h, h, n_out, len(live)), _exact_dtype(h * r))
+            for w in range(len(batch)):
+                np.subtract(absolute, code >> w & 2, out=walk[:, :, w])
+            walk[:, :, len(batch):] = absolute[:, :, None]
+            del code, absolute  # freed before the walk, the slice's peak
             t = _walk_traces(
-                np.concatenate([*stacks, absolute][:n_out]), r,
+                walk.reshape(h, h, -1), r,
                 up_traces[:, :, p[live]].reshape(top - h + 1, -1),
                 top, symmetric
             ).reshape(top - h + 1, n_out, -1)
             traces = _widen(traces, _wider(traces.dtype, t.dtype))
             traces[:, :, at:at + forks] = _widen(t[1:, :, :forks],
                                                  traces.dtype)
-            # runs of equal neighbour count share their binomials; a count
-            # can head a run in both parts
-            counts = nb[start + live]
-            runs = np.flatnonzero(np.diff(counts, prepend=-1))
-            np.add.at(sums[h], (slice(None), slice(None), counts[runs]),
-                      _run_sums(t, runs, h, r))
+            _add_sums(sums[h], acc, reach, t, nb[start + live], h, r)
             stats[1] += len(live)
             stats[3] = max(stats[3], _LADDER.index(t.dtype))
+        if any(reach):
+            sums[h] += acc.astype(object)
     if _log.isEnabledFor(logging.DEBUG):
         for h, (k, live, slices, widest) in enumerate(tally):
             if k:

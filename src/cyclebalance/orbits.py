@@ -20,7 +20,8 @@ The second sum runs over odd d: (U_l - S_l) / 2 sums j N^-_j over the
 j | l with l/j odd, a Dirichlet convolution with the indicator of odd
 numbers, which is completely multiplicative, so its inverse is mu on odd
 d and 0 on even d.  For undirected graphs the Stark-Terras three-term
-recursion computes the same traces from vertex-level matrices.
+recursion computes the same traces from vertex-level matrices; the tests
+keep it as a reference for these traces.
 
 Traces of T^l, and of A^l for closed walks, are exact integers from the
 engine's power-trace routine (its module docstring has the bound).  The
@@ -44,7 +45,6 @@ __all__ = [
     "hashimoto_matrix",
     "mobius",
     "primitive_orbit_counts",
-    "stark_terras_orbit_walks",
     "walk_ratios",
     "weighted_degree_of_balance",
 ]
@@ -124,48 +124,6 @@ def primitive_orbit_counts(g: SignedDigraph, max_length: int) -> CycleCensus:
             signed[d * m] += mu * (s if d % 2 else u)
             unsigned[d * m] += mu * u
     return CycleCensus.from_weights(*_finish([signed, unsigned], max_length))
-
-
-def stark_terras_orbit_walks(g: SignedDigraph, max_length: int
-                             ) -> list[tuple[int, int]]:
-    """Positive/negative closed non-backtracking walk counts, lengths 1..max.
-
-    Undirected-only three-term recursion on vertex-level matrices: A+ and A-
-    are 0/1 adjacencies of the positive and negative edges, Q = D - I.  The
-    tail correction subtracts walks whose closing step retraces.  Satisfies
-    W+ - W- = Tr T^l and W+ + W- = Tr |T|^l.
-    """
-    if not g.symmetric:
-        raise GraphError("the orbit-walk recursion is limited to undirected "
-                         "(symmetric) graphs")
-    if g.has_self_loops():
-        raise GraphError("strip self-loops before the orbit-walk recursion")
-    a = g.adjacency()
-    ap, am = ((a == s).astype(np.int64).astype(object) for s in (1, -1))
-    deg = ap.sum(axis=1) + am.sum(axis=1)
-    q = np.diag(deg - 1)
-
-    plus = [None, ap]    # A+_l, 1-indexed
-    minus = [None, am]
-    for ell in range(2, max_length + 1):
-        if ell == 2:
-            p = ap @ ap + am @ am - np.diag(deg)
-            m = am @ ap + ap @ am
-        else:
-            p = plus[ell - 1] @ ap + minus[ell - 1] @ am - plus[ell - 2] @ q
-            m = minus[ell - 1] @ ap + plus[ell - 1] @ am - minus[ell - 2] @ q
-        plus.append(p)
-        minus.append(m)
-
-    qm = np.diag(deg - 2)  # Q - I
-
-    def closed(walks, ell):
-        # the tail correction: Tr (Q - I) A_k for k = l - 2, l - 4, ... >= 1
-        tail = sum(int((qm @ walks[k]).trace()) for k in range(ell - 2, 0, -2))
-        return int(walks[ell].trace()) - tail
-
-    return [(closed(plus, ell), closed(minus, ell))
-            for ell in range(1, max_length + 1)]
 
 
 def walk_ratios(g: SignedDigraph, max_length: int) -> tuple[BalanceRow, ...]:

@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 from cyclebalance.graph import (_SIGN_TOKENS, GraphError, ParseError,
                                 SignedDigraph)
 
@@ -105,3 +107,45 @@ def reference_parse(text: str, undirected: bool = False,
             raw[(v, u)] = (sign, lineno)
     labels = tuple(sorted(ids, key=ids.get)) or None
     return labels, {pair: sign for pair, (sign, _) in raw.items()}
+
+
+def stark_terras_orbit_walks(g: SignedDigraph, max_length: int
+                             ) -> list[tuple[int, int]]:
+    """Positive/negative closed non-backtracking walk counts, lengths 1..max.
+
+    Undirected-only three-term recursion on vertex-level matrices: A+ and A-
+    are 0/1 adjacencies of the positive and negative edges, Q = D - I.  The
+    tail correction subtracts walks whose closing step retraces.  Satisfies
+    W+ - W- = Tr T^l and W+ + W- = Tr |T|^l.
+    """
+    if not g.symmetric:
+        raise GraphError("the orbit-walk recursion is limited to undirected "
+                         "(symmetric) graphs")
+    if g.has_self_loops():
+        raise GraphError("strip self-loops before the orbit-walk recursion")
+    a = g.adjacency()
+    ap, am = ((a == s).astype(np.int64).astype(object) for s in (1, -1))
+    deg = ap.sum(axis=1) + am.sum(axis=1)
+    q = np.diag(deg - 1)
+
+    plus = [None, ap]    # A+_l, 1-indexed
+    minus = [None, am]
+    for ell in range(2, max_length + 1):
+        if ell == 2:
+            p = ap @ ap + am @ am - np.diag(deg)
+            m = am @ ap + ap @ am
+        else:
+            p = plus[ell - 1] @ ap + minus[ell - 1] @ am - plus[ell - 2] @ q
+            m = minus[ell - 1] @ ap + plus[ell - 1] @ am - minus[ell - 2] @ q
+        plus.append(p)
+        minus.append(m)
+
+    qm = np.diag(deg - 2)  # Q - I
+
+    def closed(walks, ell):
+        # the tail correction: Tr (Q - I) A_k for k = l - 2, l - 4, ... >= 1
+        tail = sum(int((qm @ walks[k]).trace()) for k in range(ell - 2, 0, -2))
+        return int(walks[ell].trace()) - tail
+
+    return [(closed(plus, ell), closed(minus, ell))
+            for ell in range(1, max_length + 1)]

@@ -21,9 +21,8 @@ from cyclebalance.montecarlo import MonteCarloConfig, run_monte_carlo
 from cyclebalance.nullmodel import null_band, null_ratio, shuffle_null
 from cyclebalance.oracle import brute_force_census, complete_graph_census
 from cyclebalance.orbits import (hashimoto_matrix, primitive_orbit_counts,
-                                 stark_terras_orbit_walks,
                                  weighted_degree_of_balance)
-from _util import random_signed_digraph
+from _util import random_signed_digraph, stark_terras_orbit_walks
 
 import numpy as np
 

@@ -496,32 +496,49 @@ def _python_run_sums(t, runs):
              for w in range(t.shape[1])] for j in range(len(t))]
 
 
-def test_run_sums_cross_int64_mid_degree():
-    # k h r^l passes 2^62 between two degrees of this slice: the degrees
-    # below are summed in int64, those above in Python ints, and both must
-    # equal Python-int sums of the same values, as large as the bound
-    # h r^l allows
+def test_class_sums_cross_int64_mid_class():
+    # slices of k subgraphs of size h whose first stack sits at its bound
+    # h r^l: the degrees whose slice bound k h r^l stays below 2^62 are
+    # summed in the int64 accumulator, flushed into the Python-int sums
+    # before their running bound reaches 2^62, and the rest in Python ints;
+    # the k = 40 slices take a degree in int64 that the k = 300 ones do not
     rng = random.Random(11)
-    k, h, r, top = 300, 12, 11, 20
-    cut = min(ell for ell in range(h, top + 1) if k * h * r**ell >= 2**62)
-    assert h < cut < top
-    t = np.array([[[rng.choice((-1, 1)) * rng.randint(0, h * r**ell)
-                    for _ in range(k)] for _ in range(2)]
-                  for ell in range(h, top + 1)], dtype=object)
-    # the last int64 degree and the first Python-int one at their bounds:
-    # the latter's sum of 300 values passes 2^63
-    t[cut - h - 1, 0] = h * r**(cut - 1)
-    t[cut - h, 1] = h * r**cut
-    assert k * h * r**cut >= 2**63
-    runs = np.array([0, 1, 40, 41, 290])
-    out = engine._run_sums(t, runs, h, r)
-    assert out.dtype == object and out.tolist() == _python_run_sums(t, runs)
-    assert all(type(x) is int for x in out.ravel())
+    h, r, top = 12, 11, 20
+    cut = min(ell for ell in range(h, top + 1) if 300 * h * r**ell >= 2**62)
+    assert h < cut < top and 40 * h * r**cut < 2**62
+    # at its bound, a k = 300 slice's sum at degree cut passes 2^63
+    assert 300 * h * r**cut >= 2**63
+    sums = np.zeros((top - h + 1, 2, 5), dtype=object)
+    want = np.zeros_like(sums)
+    acc, reach = np.zeros(sums.shape, np.int64), [0] * len(sums)
+    for k in (300, 40, 300, 300, 40, 300, 300, 300):
+        t = np.array([[[h * r**ell] * k,
+                       [rng.choice((-1, 1)) * rng.randint(0, h * r**ell)
+                        for _ in range(k)]] for ell in range(h, top + 1)],
+                     dtype=object)
+        counts = np.sort([rng.randrange(5) for _ in range(k)])
+        runs = np.flatnonzero(np.diff(counts, prepend=-1))
+        want[:, :, counts[runs]] += np.array(_python_run_sums(t, runs),
+                                             dtype=object)
+        engine._add_sums(sums, acc, reach, t, counts, h, r)
+        # the accumulator never holds 2^62 at a degree: the first stack's
+        # sum equals its bound
+        assert all(abs(sum(acc[j, w].tolist())) < 2**62
+                   for j in range(len(acc)) for w in range(2))
+    assert any(sums[:cut - h].ravel())  # flushed mid-class
+    sums += acc.astype(object)
+    assert sums.tolist() == want.tolist()
+    assert all(type(x) is int for x in sums.ravel())
     # float traces within float32 are summed to ints, not floats
     small = np.arange(28, dtype=np.float32).reshape(2, 2, 7)
-    out = engine._run_sums(small, np.array([0, 3]), 2, 2)
-    assert out.tolist() == _python_run_sums(small, np.array([0, 3]))
-    assert all(type(x) is int for x in out.ravel())
+    counts = np.array([0, 0, 0, 2, 2, 2, 2])
+    sums = np.zeros((2, 2, 3), dtype=object)
+    acc = np.zeros(sums.shape, np.int64)
+    engine._add_sums(sums, acc, [0, 0], small, counts, 2, 2)
+    sums += acc.astype(object)
+    assert sums[:, :, [0, 2]].tolist() == _python_run_sums(
+        small, np.array([0, 3]))
+    assert all(type(x) is int for x in sums.ravel())
 
 
 def _trace_powers(a, top):
@@ -550,9 +567,11 @@ def test_walk_recurrence_adds_closed_walks_through_last_vertex(symmetric):
         r = int(np.abs(mats).sum(axis=2).max())
         full = [_trace_powers(a, L)[h - 1:] for a in mats]
         part = [_trace_powers(a[:-1, :-1], L)[h - 1:] for a in mats]
-        d = engine._walk_traces(mats, r, np.zeros((L - h + 1, len(mats))), L,
+        # the walk's layout: the stack last, in the dtype h r allows
+        walk = np.moveaxis(mats, 0, -1).astype(engine._exact_dtype(h * r))
+        d = engine._walk_traces(walk, r, np.zeros((L - h + 1, len(mats))), L,
                                 symmetric)
-        t = engine._walk_traces(mats, r, np.array(part, dtype=object).T, L,
+        t = engine._walk_traces(walk, r, np.array(part, dtype=object).T, L,
                                 symmetric)
         for i in range(len(mats)):
             assert [int(x) for x in d[:, i]] == \

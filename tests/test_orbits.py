@@ -10,10 +10,9 @@ from cyclebalance.engine import (CycleEngineError, balance_table,
 from cyclebalance.graph import (GraphError, SignedDigraph, complete_graph,
                                 parse_edge_list)
 from cyclebalance.orbits import (hashimoto_matrix, mobius,
-                                 primitive_orbit_counts,
-                                 stark_terras_orbit_walks, walk_ratios,
+                                 primitive_orbit_counts, walk_ratios,
                                  weighted_degree_of_balance)
-from _util import random_signed_digraph
+from _util import random_signed_digraph, stark_terras_orbit_walks
 
 TRIAD = parse_edge_list("0 1 1\n0 2 1\n1 2 -1", undirected=True)
 TRIANGLE = parse_edge_list("0 1 1\n0 2 1\n1 2 1", undirected=True)
