@@ -76,10 +76,16 @@ So a subgraph costs ceil((L-2)/2) matrix-vector products per chain and an
 O(L^2) recursion, vectorised over the slice, which runs along the last
 axis so that each product loops over it.  The degrees that share a dtype
 form a run, which casts g, D and each chain it reads once.
-Bound: the entries of x_b and y_a, g_m, and every term and partial sum of
-the recursion at degree l are sub-sums of the matching unsigned walk
+Bound: each chain x_b and y_b is computed in the dtype that r^b allows,
+and the matrices in that of r.  Row sums of |A_P| are at most r, so
+|x_b| <= |A_P|^b |c| <= r^b entrywise, and a partial sum of a row of
+A_P x_(b-1) is at most r r^(b-1).  Every entry of y_b = y_(b-1) A_P, and
+every partial sum of one, is at most ||y_(b-1)||_1 <= |u| |A_P|^(b-1) 1
+<= r^b, as |u| sums to at most r.  g_m, and every term and partial sum of
+the recursion at degree l, are sub-sums of the matching unsigned walk
 counts, and those of D_l sum to Tr |A_H|^l - Tr |A_P|^l <= h r^l, so the
-ladder above applies degree by degree.
+ladder above applies degree by degree; a chain read at degree l >= 2b + 1
+is only ever cast up, as r^b <= h r^l.
 
 Slices and sums.  ``subgraphs.size_classes`` hands over the subgraphs one
 size class at a time, block by block: per subgraph the index of its
@@ -113,6 +119,12 @@ without children, are traced and summed but never stored.  The traces at
 degrees h..top are summed per (h, |N(H)|) as exact integers across slices
 and blocks, and the binomials, which vanish beyond degree h + |N(H)|, are
 applied once at the end, so neither block nor class order changes a count.
+The top class, h = top, has the one degree top, whose binomials
+C(|N(H)|, 0) are all 1: its subgraphs are not sorted by |N(H)|, and all
+of them are summed into one |N(H)| bucket.  A slice takes as many
+subgraphs as ``_CHUNK_BYTES`` = 3 MB allows at 8 (h + 2)(h + top) bytes
+per subgraph and stack, a bound on its lookup temporaries and walk
+chains.
 A slice's k traces at degree l, and every partial sum of them in any
 order, are at most k h r^l in magnitude.  A class sums them in one int64
 accumulator per (degree, stack, |N(H)|) and keeps, per degree l, R_l: the
@@ -202,8 +214,12 @@ _INT64_EXACT = 2**62
 # exact dtypes, narrowest first: an array is only ever cast up this ladder
 _LADDER = (np.dtype(np.float32), np.dtype(np.float64), np.dtype(np.int64),
            np.dtype(object))
-# bytes of the temporaries of one slice of a size class
-_CHUNK_BYTES = 1 << 21
+# bytes of the temporaries of one slice of a size class.  A reused 16-tribe
+# census at L=16 took 59, 49, 47, 45 and 46 ms with slices of 1, 2, 3, 4
+# and 8 MB (best of 5 means of 10, one process, 2-core box); its fresh
+# census peaked at 4.5, 4.6, 5.2, 5.8 and 8.2 MB (tracemalloc): 3 MB keeps
+# that peak well under the 6 MB the tests allow
+_CHUNK_BYTES = 3 << 20
 # sign vectors of one pass: an int8 code holds 7 sign bits beside the arc's
 _SIGNS_PER_PASS = 7
 
@@ -394,7 +410,7 @@ def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
                  symmetric: bool) -> np.ndarray:
     """Tr A_H^l for l = h..max_length over a stack of k integer matrices
     A_H, laid out (h, h, k) with the stack last and held in the dtype that
-    the bound h r allows, from the traces ``up`` (max_length - h + 1, k) of
+    the bound r allows, from the traces ``up`` (max_length - h + 1, k) of
     their leading blocks A_P, without the last row and column, at those
     degrees.
 
@@ -409,7 +425,7 @@ def _walk_traces(mats: np.ndarray, r: int, up: np.ndarray, max_length: int,
     # and a + 1 steps into and out of the new vertex
     xs, ys = [mats[:-1, -1]], [mats[-1, :-1]]
     for b in range(1, (max_length - 1) // 2 + 1):
-        dtype = _exact_dtype(h * r**(b + 1))
+        dtype = _exact_dtype(r**b)
         a_p = _widen(a_p, dtype)
         xs.append(np.einsum("ijk,jk->ik", a_p, _widen(xs[-1], dtype)))
         if not symmetric and b <= (max_length - 2) // 2:
@@ -598,6 +614,8 @@ def _census(g: SignedDigraph, max_length: int, batch: np.ndarray):
         # bounds the lookup temporaries and the walk chains of one slice
         step = max(1, _CHUNK_BYTES // (8 * n_out * (h + 2) * (h + top)))
         buf = np.empty((min(k, step), h, h), np.int8)
+        if h == top:  # its one degree's binomials C(|N(H)|, 0) are all 1
+            nb = np.zeros(k, np.int8)
         grow = int(nb.max()) + 1 - sums[h].shape[2]
         if grow > 0:
             sums[h] = np.concatenate([sums[h], np.zeros(
@@ -613,10 +631,12 @@ def _census(g: SignedDigraph, max_length: int, batch: np.ndarray):
             rows = rank[verts[start:start + step]]
             sub = buf[:len(p)]
             v = rows[:, -1:]
-            sub[:, :-1, :-1] = up_mats[p]
-            # the new vertex's out-arcs, then its in-arcs from the others
+            sub[:, :-1, :-1] = up_mats.take(p, 0)
+            # the new vertex's out-arcs, then its in-arcs from the others,
+            # which on a symmetric pass carry the same codes
             sub[:, -1] = table.take(v * m + rows)
-            sub[:, :-1, -1] = table.take(rows[:, :-1] * m + v)
+            sub[:, :-1, -1] = (sub[:, -1, :-1] if symmetric else
+                               table.take(rows[:, :-1] * m + v))
             cyc = up_cyclic[p]  # a parent's cycle lies in the subgraph
             todo = np.flatnonzero(~cyc)
             if len(todo):
@@ -626,7 +646,8 @@ def _census(g: SignedDigraph, max_length: int, batch: np.ndarray):
             # growing acyclic ones, whose traces stay 0 (a nilpotent matrix)
             grows_here = grows[start:start + step]
             live = np.flatnonzero(cyc)
-            live = live[np.lexsort((nb[start + live], ~grows_here[live]))]
+            if h < top:
+                live = live[np.lexsort((nb[start + live], ~grows_here[live]))]
             forks = int(np.count_nonzero(grows_here[live]))
             kept_here = np.concatenate(
                 [live[:forks], np.flatnonzero(grows_here & ~cyc)])
@@ -643,14 +664,14 @@ def _census(g: SignedDigraph, max_length: int, batch: np.ndarray):
             r = _row_sum_bound(absolute.transpose(2, 0, 1))
             # decoded into the walk's first dtype: stack w is -1 where bit
             # w + 1 is set, else the arc bit; the unsigned stack is last
-            walk = np.empty((h, h, n_out, len(live)), _exact_dtype(h * r))
+            walk = np.empty((h, h, n_out, len(live)), _exact_dtype(r))
             for w in range(len(batch)):
                 np.subtract(absolute, code >> w & 2, out=walk[:, :, w])
             walk[:, :, len(batch):] = absolute[:, :, None]
             del code, absolute  # freed before the walk, the slice's peak
             t = _walk_traces(
                 walk.reshape(h, h, -1), r,
-                up_traces[:, :, p[live]].reshape(top - h + 1, -1),
+                up_traces.take(p[live], 2).reshape(top - h + 1, -1),
                 top, symmetric
             ).reshape(top - h + 1, n_out, -1)
             traces = _widen(traces, _wider(traces.dtype, t.dtype))

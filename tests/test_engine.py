@@ -2,6 +2,7 @@ import logging
 import math
 import os
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -567,8 +568,8 @@ def test_walk_recurrence_adds_closed_walks_through_last_vertex(symmetric):
         r = int(np.abs(mats).sum(axis=2).max())
         full = [_trace_powers(a, L)[h - 1:] for a in mats]
         part = [_trace_powers(a[:-1, :-1], L)[h - 1:] for a in mats]
-        # the walk's layout: the stack last, in the dtype h r allows
-        walk = np.moveaxis(mats, 0, -1).astype(engine._exact_dtype(h * r))
+        # the walk's layout: the stack last, in the dtype r allows
+        walk = np.moveaxis(mats, 0, -1).astype(engine._exact_dtype(r))
         d = engine._walk_traces(walk, r, np.zeros((L - h + 1, len(mats))), L,
                                 symmetric)
         t = engine._walk_traces(walk, r, np.array(part, dtype=object).T, L,
@@ -577,6 +578,76 @@ def test_walk_recurrence_adds_closed_walks_through_last_vertex(symmetric):
             assert [int(x) for x in d[:, i]] == \
                 [u - v for u, v in zip(full[i], part[i])], (h, i)
             assert [int(x) for x in t[:, i]] == full[i], (h, i)
+
+
+@settings(max_examples=80)
+@given(st.randoms(use_true_random=False), st.floats(0.1, 1.0),
+       st.sampled_from(["directed", "opposite", "undirected"]))
+def test_walk_chains_stay_within_r_to_the_b(rng, edge_prob, kind):
+    # the walk's chains x_b = A_P^b c and y_b = u A_P^b in Python ints:
+    # each entry, and each partial sum of the products that form it, in
+    # any order, is at most the sum of the products' magnitudes, which
+    # stays within r^b, r the largest row sum of |A_H|
+    g = random_signed_digraph(rng, edge_prob=edge_prob, loop_prob=0.3,
+                              undirected=kind == "undirected")
+    if kind == "opposite":
+        g = with_opposite_reverses(g, rng)
+    a = g.adjacency().astype(object)
+    r = max(sum(map(abs, row)) for row in a)
+    a_p, x, y = a[:-1, :-1], a[:-1, -1], a[-1, :-1]
+    for b in range(1, 13):
+        magnitudes = [*np.abs(a_p) @ np.abs(x), *np.abs(y) @ np.abs(a_p)]
+        assert max(magnitudes, default=0) <= r**b, b
+        x, y = a_p @ x, y @ a_p
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_walk_chains_exact_past_float32(sign, symmetric):
+    # the complete 20-vertex matrix with loops has r = 20, and its chains
+    # at b = 6 hold +-19^6, past 2^24 where r^5 is not: chain dtypes chosen
+    # by r^(b-1) would round them in float32
+    h = L = 20
+    assert 20**5 < 2**24 <= 19**6
+    a = np.full((h, h), sign, np.int8)
+    full = _trace_powers(a, L)[h - 1:]
+    part = _trace_powers(a[:-1, :-1], L)[h - 1:]
+    walk = a[:, :, None].astype(engine._exact_dtype(h))
+    t = engine._walk_traces(walk, h, np.array([part], dtype=object).T, L,
+                            symmetric)
+    assert [int(x) for x in t[:, 0]] == full
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_top_class_sums_into_one_bucket(undirected, monkeypatch, caplog):
+    # below the largest bicomponent the top class, h = L, is the largest
+    # class; its one degree's binomials C(|N(H)|, 0) are all 1, so every
+    # slice of it reaches the class sums as one |N(H)| run, into one bucket
+    rng = random.Random(41)
+    seen = []
+    add_sums = engine._add_sums
+
+    def spy(sums, acc, reach, t, counts, h, r):
+        seen.append((h, sums.shape[2], len(set(counts.tolist()))))
+        add_sums(sums, acc, reach, t, counts, h, r)
+
+    monkeypatch.setattr(engine, "_add_sums", spy)
+    L = 5
+    for _ in range(4):
+        g = random_signed_digraph(rng, vertices=11, edge_prob=0.4,
+                                  loop_prob=0.1, undirected=undirected)
+        assert max(map(len, g.bicomponents)) > L
+        seen.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cyclebalance.engine"):
+            assert cycle_census(g, L) == brute_force_census(g, L)
+        sizes = dict(map(int, m.groups()) for m in (
+            re.match(r"size (\d+): (\d+) subgraphs", r.getMessage())
+            for r in caplog.records) if m)
+        assert max(sizes, key=sizes.get) == L
+        assert {(n, runs) for h, n, runs in seen if h == L} == {(1, 1)}
+        # the classes below sort and sum by |N(H)|
+        assert any(runs > 1 for h, _, runs in seen if h < L)
 
 
 def test_recurrence_dtype_tiers_match_oracle(monkeypatch, widened, rng):
@@ -749,8 +820,8 @@ _L20_NEGATIVE = (0, 0, 20, 62, 190, 664, 1756, 4556, 11072, 24060, 47960,
 
 @pytest.mark.skipif(not os.environ.get("CYCLEBALANCE_L20"),
                     reason="22-vertex L=20 census is opt-in "
-                           "(set CYCLEBALANCE_L20=1); takes about 10 s and "
-                           "300 MB")
+                           "(set CYCLEBALANCE_L20=1); takes 6-9 s and "
+                           "262 MB")
 def test_22_vertex_census_at_l20():
     g = random_signed_digraph(random.Random(7), edge_prob=0.2,
                               undirected=True, vertices=22)
